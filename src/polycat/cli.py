@@ -26,7 +26,9 @@ def cmd_enumerate(args):
         path = _catalog_path(args.out, n + 1, args.k)
         if args.stream:
             stats = gen.generate_next_stream(cat, path, jobs=args.jobs)
-            cat = gen.read_catalog(path)
+            if n + 1 < args.n:
+                # the next step's parents; the last catalog is not read
+                cat = gen.read_catalog(path)
         else:
             cat, stats = gen.generate_next(cat, jobs=args.jobs)
             gen.write_catalog(cat, path)

@@ -3,9 +3,8 @@ deletion.
 
 Each parent in the catalog X_n is extended by every extensible partition;
 an extension is accepted iff deleting the last element of its canonical
-labeling and re-canonicalizing reproduces the parent exactly.  Extensions
-of distinct parents are never compared, so the outer loop parallelizes
-with no shared state.
+labeling reproduces the parent exactly.  Extensions of distinct parents
+are never compared, so the outer loop parallelizes with no shared state.
 """
 
 from __future__ import annotations
@@ -14,6 +13,8 @@ import heapq
 import math
 import os
 import re
+import shutil
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -89,14 +90,21 @@ def extensions_of_parent(parent: RankTable):
     build = extension_builder(parent, lattice)
     accepted = {}
     half = 1 << n
+    # the canonical labeling sorts the singleton ranks, so its last
+    # element has the largest rank; if the new element ranks below a
+    # parent element, deleting that last element leaves other singleton
+    # ranks than the parent's, and the candidate would be rejected
+    top = max(parent.rho[1 << j] for j in range(n)) if n else 0
     for part in partitions:
-        cb, _sigma, aut = canon.canonical_bytes(bytes(build(part.mu)), n + 1)
-        if cb in accepted:
+        ext = bytes(build(part.mu))
+        if ext[half] < top:
             continue
-        # element n+1 is the top bit, so its deletion from the canonical
-        # labeling is the first half of the table
-        deleted, _s, _a = canon.canonical_bytes(cb[:half], n)
-        if deleted == parent_bytes:
+        cb, _sigma, aut = canon.canonical_bytes(ext, n + 1)
+        # element n+1 is the top bit, so deleting it from the canonical
+        # labeling leaves the first half of the table; that half is
+        # already lex-min among the relabelings of the deletion, because
+        # the full sequence minimizes its first half before the rest
+        if cb[:half] == parent_bytes:
             accepted[cb] = aut
     out = sorted(accepted.items())
     return [(tuple(cb), aut) for cb, aut in out], len(partitions)
@@ -152,13 +160,14 @@ def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
                          shard_dir=None):
     """Streaming variant: accepted extensions go to sorted per-block
     shards on disk, merged into the catalog file by canonical key.
-    Only counts are kept in memory."""
+    Only counts are kept in memory.  The shards live in a private
+    directory under shard_dir (default: the output's directory) that is
+    removed on return or on error."""
     start = time.monotonic()
     shard_dir = shard_dir or os.path.dirname(os.path.abspath(out_path))
     stats = GenerationStats()
     rhos = [e.table.rho for e in xn.entries]
     chunk = max(1, (len(rhos) + 1023) // 1024)
-    shards = []
     blocks = [rhos[i:i + chunk] for i in range(0, len(rhos), chunk)]
 
     def run(blks):
@@ -169,30 +178,32 @@ def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 yield from pool.map(_worker, [(xn.k, b) for b in blks])
 
-    for bi, (results, st) in enumerate(run(blocks)):
-        stats.merge(st)
-        block_entries = sorted(
-            (rho, aut) for acc in results for rho, aut in acc
-        )
-        path = os.path.join(shard_dir, f".shard-{bi:05d}.tmp")
-        with open(path, "w") as fh:
-            fh.writelines(_entry_line(r, a) for r, a in block_entries)
-        shards.append(path)
-    files = [open(p) for p in shards]
-
     def entry_key(line):
         return tuple(map(int, line.split()[:-1]))
 
+    run_dir = tempfile.mkdtemp(prefix=".shards-", dir=shard_dir)
     try:
-        with open(out_path, "w") as out:
-            out.write(_header(xn.n + 1, xn.k, stats.accepted))
-            for line in heapq.merge(*files, key=entry_key):
-                out.write(line)
+        shards = []
+        for bi, (results, st) in enumerate(run(blocks)):
+            stats.merge(st)
+            block_entries = sorted(
+                (rho, aut) for acc in results for rho, aut in acc
+            )
+            path = os.path.join(run_dir, f"{bi:05d}.txt")
+            with open(path, "w") as fh:
+                fh.writelines(_entry_line(r, a) for r, a in block_entries)
+            shards.append(path)
+        files = [open(p) for p in shards]
+        try:
+            with open(out_path, "w") as out:
+                out.write(_header(xn.n + 1, xn.k, stats.accepted))
+                for line in heapq.merge(*files, key=entry_key):
+                    out.write(line)
+        finally:
+            for fh in files:
+                fh.close()
     finally:
-        for fh in files:
-            fh.close()
-        for p in shards:
-            os.remove(p)
+        shutil.rmtree(run_dir, ignore_errors=True)
     stats.wall_time = time.monotonic() - start
     return stats
 

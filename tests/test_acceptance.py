@@ -1,11 +1,13 @@
 """Acceptance gate: one test per criterion, each printing a single
 pass/fail line (run with -s to see the lines for passing tests).
 
-Criterion 3 builds the n=6 catalog once (a few minutes, single core).
+Criterion 3 builds the n=6 catalog once (about 2.5 minutes, single core)
+and checks its sha256.
 Criterion 10 reproduces the n=7 totals only when POLYCAT_LONG_RUN is
 set; that run takes days and is skipped otherwise.
 """
 
+import hashlib
 import itertools
 import math
 import os
@@ -35,6 +37,9 @@ UNLABELED_BY_RANK = {
 }
 LABELED_TOTALS = {2: 14, 3: 115, 4: 2040, 5: 109707, 6: 39445994}
 FILTER_COUNTS = {1: 1, 2: 2, 3: 8, 4: 51, 5: 696, 6: 49121}
+# sha256 over every n=6 entry's rank bytes and 4-byte little-endian aut
+# order, in catalog order
+N6_SHA256 = "b066e6df13a160af8fb14f9ea8e63ee1609f91022f9cd81abcdf8b612e613e39"
 
 
 def _report(num, ok, detail=""):
@@ -53,6 +58,14 @@ def cats6(cats5):
     return list(cats5) + [nxt], elapsed
 
 
+def _catalog_sha256(cat):
+    h = hashlib.sha256()
+    for e in cat.entries:
+        h.update(bytes(e.table.rho))
+        h.update(e.aut_order.to_bytes(4, "little"))
+    return h.hexdigest()
+
+
 def test_criterion_01_unlabeled_totals(cats5):
     totals = [len(c) for c in cats5]
     _report(1, totals == [1, 3, 10, 40, 228, 2380], f"got {totals}")
@@ -69,6 +82,7 @@ def test_criterion_03_n6_catalog(cats6):
     cats, elapsed = cats6
     ok = (len(cats[6]) == 94495
           and cats[6].rank_counts() == UNLABELED_BY_RANK[6]
+          and _catalog_sha256(cats[6]) == N6_SHA256
           and elapsed < 3600)
     _report(3, ok, f"count={len(cats[6])} time={elapsed:.0f}s")
 

@@ -1,11 +1,17 @@
+import functools
 import itertools
 import math
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from polycat import RankTable, k_dual
+from polycat import RankTable, flats, k_dual
 from polycat.canon import (
+    _SLICE_ROWS,
     _canonical_generic,
+    apply_mask_perm,
     canonical_form,
     flat_graph,
     graph_invariant,
@@ -13,6 +19,55 @@ from polycat.canon import (
     labeled_count,
     relabel,
 )
+from polycat.extensions import (
+    enumerate_extensible_partitions,
+    extension_builder,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _all_relabelings(n):
+    """Row q maps each mask through permutation q; gathering a table
+    through every row gives every relabeled table (built with
+    apply_mask_perm alone, not with canon's gather tables)."""
+    return np.array([[apply_mask_perm(m, q) for m in range(1 << n)]
+                     for q in itertools.permutations(range(n))])
+
+
+def _brute_minimum(table):
+    """(lex-min relabeled rank sequence, how many relabelings reach it,
+    whether another relabeling ties with it up to its last 8 entries)."""
+    buf = np.array(table.rho, dtype=np.uint8)[_all_relabelings(table.n)]
+    images = [row.tobytes() for row in buf]
+    best = min(images)
+    aut = images.count(best)
+    late = sum(img[:-8] == best[:-8] for img in images) > aut
+    return tuple(best), aut, late
+
+
+def _candidate_count(table):
+    """Relabelings sorting the singleton ranks: prod of m! over their
+    multiplicities m."""
+    ranks = Counter(table.rho[1 << j] for j in range(table.n))
+    return math.prod(math.factorial(m) for m in ranks.values())
+
+
+@pytest.fixture(scope="module")
+def n6_tables(cats5):
+    """A few hundred n=6 extension tables of a stride of X_5, each under
+    a random relabeling."""
+    rng = random.Random(6)
+    tables = []
+    for e in cats5[5].entries[::41]:
+        lattice = flats(e.table)
+        build = extension_builder(e.table, lattice)
+        parts = enumerate_extensible_partitions(e.table, lattice)
+        for part in rng.sample(parts, min(12, len(parts))):
+            ext = RankTable(6, 2, build(part.mu))
+            perm = list(range(6))
+            rng.shuffle(perm)
+            tables.append(relabel(ext, perm))
+    return tables
 
 
 class TestCanonicalForm:
@@ -42,15 +97,28 @@ class TestCanonicalForm:
                     assert cf.table.rho == e.table.rho
                     assert relabel(t, [p - 1 for p in cf.perm]) == cf.table
 
-    def test_matches_brute_minimum(self, cats5):
-        for e in cats5[4].entries:
-            images = sorted(
-                relabel(e.table, p).rho
-                for p in itertools.permutations(range(4))
-            )
-            cf = canonical_form(e.table)
-            assert cf.table.rho == images[0]
-            assert cf.aut_order == images.count(images[0])
+    def test_matches_brute_minimum(self, cats5, n6_tables):
+        tables = [e.table for cat in cats5[:5] for e in cat.entries]
+        tables += [e.table for e in cats5[5].entries[::7]]
+        tables += n6_tables
+        paths = Counter()
+        for t in tables:
+            best, aut, late = _brute_minimum(t)
+            cf = canonical_form(t)
+            assert cf.table.rho == best
+            assert cf.aut_order == aut
+            assert relabel(t, [p - 1 for p in cf.perm]) == cf.table
+            words = _candidate_count(t) > _SLICE_ROWS
+            paths[t.n < 3, words, aut > 1] += 1
+            paths["late"] += words and late
+        # byte strings below n=3 and at n>=3; word narrowing with ties
+        # to the end, with an early exit at one row, and decided only
+        # by the last word
+        assert paths[True, False, True] and paths[True, False, False]
+        assert paths[False, False, True] and paths[False, False, False]
+        assert paths[False, True, True] >= 10
+        assert paths[False, True, False] >= 10
+        assert paths["late"] >= 1
 
     def test_generic_path_agrees_with_fast(self, cats5):
         for e in cats5[4].entries:

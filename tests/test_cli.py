@@ -1,6 +1,8 @@
+import os
+
 import pytest
 
-from polycat import read_catalog
+from polycat import gen, read_catalog
 from polycat.cli import main
 
 
@@ -26,6 +28,19 @@ class TestEnumerate:
             name = f"polycat-k2-n{n}.txt"
             assert (out / name).read_bytes() == \
                 (catalog_dir / name).read_bytes()
+
+    def test_stream_reads_back_all_but_the_last(self, tmp_path,
+                                                monkeypatch):
+        read = []
+
+        def counting(path):
+            read.append(os.path.basename(path))
+            return read_catalog(path)
+
+        monkeypatch.setattr(gen, "read_catalog", counting)
+        assert main(["enumerate", "--n", "3", "--out", str(tmp_path),
+                     "--jobs", "1", "--stream"]) == 0
+        assert read == ["polycat-k2-n1.txt", "polycat-k2-n2.txt"]
 
     def test_matroid_catalogs(self, tmp_path):
         out = tmp_path / "k1"

@@ -9,12 +9,36 @@ from polycat import (
     duality_check,
     enumerate_all,
     filter_count,
+    gen,
     generate_next,
     read_catalog,
     write_catalog,
 )
-from polycat.canon import canonical_form
-from polycat.gen import generate_next_stream
+from polycat.canon import canonical_bytes, canonical_form
+from polycat.core import flats
+from polycat.extensions import (
+    enumerate_extensible_partitions,
+    extension_builder,
+)
+from polycat.gen import extensions_of_parent, generate_next_stream
+
+
+def _reference_extensions(parent):
+    """The acceptance rule in its plain form: canonicalize every
+    extension, canonicalize the deletion of its last element, and accept
+    when that is the parent; no prefilter."""
+    n = parent.n
+    lattice = flats(parent)
+    parts = enumerate_extensible_partitions(parent, lattice)
+    build = extension_builder(parent, lattice)
+    accepted = {}
+    for part in parts:
+        cb, _sigma, aut = canonical_bytes(bytes(build(part.mu)), n + 1)
+        deleted, _s, _a = canonical_bytes(cb[:1 << n], n)
+        if deleted == bytes(parent.rho):
+            accepted[cb] = aut
+    out = [(tuple(cb), aut) for cb, aut in sorted(accepted.items())]
+    return out, len(parts)
 
 
 class TestGeneration:
@@ -69,6 +93,13 @@ class TestGeneration:
     def test_parallel_matches_serial(self, cats5):
         nxt, _ = generate_next(cats5[3], jobs=2)
         assert nxt.entries == cats5[4].entries
+
+    def test_acceptance_matches_reference_rule(self, cats5):
+        parents = [e.table for cat in cats5[:5] for e in cat.entries]
+        parents += [e.table for e in cats5[5].entries[::40]]
+        for parent in parents:
+            assert extensions_of_parent(parent) == \
+                _reference_extensions(parent)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -149,4 +180,46 @@ class TestCatalogFiles:
         stats = generate_next_stream(cats5[3], out)
         assert out.read_bytes() == ref.read_bytes()
         assert stats.accepted == len(cats5[4])
-        assert not list(tmp_path.glob(".shard-*"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ref.txt", "stream.txt"]
+
+    def test_stream_failure_leaves_no_files(self, cats5, tmp_path,
+                                            monkeypatch):
+        real = gen._worker
+        calls = []
+
+        def failing(args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("injected failure")
+            return real(args)
+
+        monkeypatch.setattr(gen, "_worker", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            generate_next_stream(cats5[3], tmp_path / "out.txt")
+        assert len(calls) == 2  # one block's shard was written first
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stream_runs_share_a_directory(self, cats5, tmp_path,
+                                           monkeypatch):
+        # a second run starts in the same directory after the first has
+        # written a shard, and finishes before the first merges
+        real = gen._worker
+        calls, inner = [], []
+
+        def worker(args):
+            calls.append(args)
+            if len(calls) == 2:
+                inner.append(generate_next_stream(cats5[2],
+                                                  tmp_path / "n3.txt"))
+            return real(args)
+
+        monkeypatch.setattr(gen, "_worker", worker)
+        generate_next_stream(cats5[3], tmp_path / "n4.txt")
+        for cat, name in ((cats5[3], "n3.txt"), (cats5[4], "n4.txt")):
+            write_catalog(cat, tmp_path / "ref.txt")
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / "ref.txt").read_bytes()
+        assert inner[0].accepted == len(cats5[3])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "n3.txt", "n4.txt", "ref.txt"]
