@@ -35,7 +35,6 @@ from .canon import (
     FlatGraph,
     canonical_form,
     flat_graph,
-    graph_invariant,
     isomorphic,
     labeled_count,
 )

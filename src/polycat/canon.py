@@ -246,38 +246,3 @@ def flat_graph(table: RankTable) -> FlatGraph:
             verts.append((0, r))
     verts.sort(key=lambda v: (v[1], v[0]))
     return FlatGraph(table.n, tuple(verts))
-
-
-def graph_invariant(g: FlatGraph) -> bytes:
-    """Relabeling-invariant signature by iterated color refinement.
-
-    Vertices start at their intrinsic colors (-1 for ground, rank for
-    flats); each round recolors by (color, sorted neighbor colors) until
-    the partition stops refining.  The signature is the sorted key
-    multiset of every round: because each round's integer colors are
-    ranks within that comparable key list, equal signatures mean the
-    whole refinement ran identically on both graphs.
-    """
-    nv = g.n + len(g.flat_vertices)
-    neigh = [[] for _ in range(nv)]
-    for fi, (mask, _color) in enumerate(g.flat_vertices):
-        v = g.n + fi
-        for b in bits_of(mask):
-            neigh[b].append(v)
-            neigh[v].append(b)
-    colors = [-1] * g.n + [c for _, c in g.flat_vertices]
-    nclasses = len(set(colors))
-    rounds = []
-    while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in neigh[v])))
-            for v in range(nv)
-        ]
-        rounds.append(sorted(keys))
-        mapping = {key: i for i, key in enumerate(sorted(set(keys)))}
-        refined = [mapping[key] for key in keys]
-        if len(mapping) == nclasses:
-            break
-        colors = refined
-        nclasses = len(mapping)
-    return repr(rounds).encode()

@@ -5,12 +5,21 @@ classes allowed); the extension is rho_ext(X|e) = rho(X) + mu(cl(X)).
 Valid assignments are characterized by three conditions on flat pairs;
 for k=2 an equivalent list of seven conditions is reported by
 check_partition for diagnostics.
+
+enumerate_extensible_partitions assigns the flats supersets-first, one
+numpy pass per flat over a frontier of all partial assignments.  Each
+condition bounds a flat assigned later (a subset, or the meet of a
+pair) by flats assigned earlier, so every row carries per-flat lower
+and upper bounds that are tightened as soon as a value is fixed, and a
+row is dropped the moment some interval is empty.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     FlatLattice,
@@ -136,27 +145,98 @@ def _search_order(lattice: FlatLattice):
                   key=lambda i: -lattice.flats[i].bit_count())
 
 
-def _pair_tables(parent: RankTable, lattice: FlatLattice, order):
-    """Per flat a, the incomparable pairs (f, g) whose meet is a, with the
-    join's closure and modular defect precomputed.  Condition (I) for a
-    pair becomes checkable the moment its meet is assigned."""
-    fl = lattice.flats
-    idx = {f: i for i, f in enumerate(fl)}
-    by_meet = [[] for _ in fl]
-    for i in range(len(fl)):
-        for j in range(i + 1, len(fl)):
-            f, g = fl[i], fl[j]
-            if f & g == f or f & g == g:
-                continue
-            by_meet[idx[f & g]].append(
-                (i, j, idx[closure(parent, f | g)],
-                 modular_defect(parent, f, g))
-            )
-    supersets = [
-        [j for j in range(len(fl)) if fl[i] & fl[j] == fl[i] and i != j]
-        for i in range(len(fl))
-    ]
-    return by_meet, supersets
+def _flat_tables(parent: RankTable, lattice: FlatLattice, dtype):
+    """What assigning each flat a decides, in search order.
+
+    Per flat: its index a; its strict subsets s (all assigned later)
+    with rho(a) - rho(s), the slack condition (II) leaves; and the
+    incomparable pairs (a, b) with b assigned earlier, which are
+    complete once a is, sorted by meet: the other member b, the join and
+    the modular defect as arrays, with the distinct meets (as positions
+    in the subset array, since a meet is a subset of a) and the start of
+    each meet's run."""
+    order = _search_order(lattice)
+    fl = np.array(lattice.flats, np.intp)
+    m = len(fl)
+    rho = np.array(parent.rho, np.int64)
+    rho_fl = rho[fl]
+    # the closure of a mask is the smallest flat containing it
+    masks = np.arange(1 << parent.n)[:, None]
+    size = np.array([f.bit_count() for f in lattice.flats])
+    cl_idx = np.where((masks & fl) == masks, size, parent.n + 1).argmin(1)
+    pos = np.empty(m, np.intp)
+    pos[order] = np.arange(m)
+    meet = fl[:, None] & fl
+    sub = meet == fl  # sub[a, s]: flat s lies inside flat a
+    np.fill_diagonal(sub, False)
+    sub_pos = np.cumsum(sub, axis=1) - 1
+
+    sa, ss = np.nonzero(sub[order])
+    sub_off = np.searchsorted(sa, np.arange(m + 1))
+    gap = (rho_fl[np.asarray(order)[sa]] - rho_fl[ss]).astype(dtype)
+
+    later, other = np.nonzero(~(sub | sub.T) & (pos[:, None] > pos))
+    meet_idx = cl_idx[meet[later, other]]
+    union = fl[later] | fl[other]
+    defect = rho_fl[later] + rho_fl[other] - rho[union] - rho_fl[meet_idx]
+    # (III) puts mu[join] <= mu[a], so (I) caps the meet at no less than
+    # mu[b] + d: a pair with d >= k can never cut below HI <= k
+    key = pos[later] * m + meet_idx
+    kept = np.flatnonzero(defect < parent.k)
+    kept = kept[np.argsort(key[kept], kind="stable")]
+    later, other, key = later[kept], other[kept], key[kept]
+    meet_idx, join = meet_idx[kept], cl_idx[union[kept]]
+    defect = defect[kept].astype(dtype)
+    pair_off = np.searchsorted(pos[later], np.arange(m + 1))
+    runs = np.flatnonzero(np.diff(key, prepend=-1))
+    run_off = np.searchsorted(runs, pair_off)
+    run_meet = sub_pos[later[runs], meet_idx[runs]]
+
+    tables = []
+    for p, a in enumerate(order):
+        s0, s1 = sub_off[p], sub_off[p + 1]
+        p0, p1 = pair_off[p], pair_off[p + 1]
+        r0, r1 = run_off[p], run_off[p + 1]
+        tables.append((a, ss[s0:s1], gap[s0:s1, None], other[p0:p1],
+                       join[p0:p1], defect[p0:p1, None], run_meet[r0:r1],
+                       runs[r0:r1] - p0))
+    return tables
+
+
+def _frontier(parent: RankTable, lattice: FlatLattice):
+    """The mu-vectors of every extensible partition, one row each,
+    sorted; the search is described at enumerate_extensible_partitions."""
+    # every bound lies in [-k, k(n+2)]
+    dtype = np.int8 if parent.k * (parent.n + 2) < 128 else np.int64
+    # bounds[0] is LO and bounds[1] is HI, one column per row
+    bounds = np.empty((2, len(lattice), 1), dtype)
+    bounds[0], bounds[1] = 0, parent.k
+    for a, subs, gap, others, joins, defect, meets, starts in _flat_tables(
+            parent, lattice, dtype):
+        width = (bounds[1, a] - bounds[0, a]).astype(np.intp) + 1
+        if width.max() > 1:
+            rep = np.repeat(np.arange(len(width)), width)
+            step = np.arange(len(rep)) - (np.cumsum(width) - width)[rep]
+            bounds = bounds[:, :, rep]
+            bounds[0, a] += step.astype(dtype)
+            bounds[1, a] = bounds[0, a]
+        if not len(subs):
+            continue
+        lo, hi = bounds[0], bounds[1]
+        v = lo[a]
+        sub_lo = np.maximum(lo[subs], v)
+        sub_hi = np.minimum(hi[subs], v + gap)
+        if len(others):
+            slack = lo[others] + defect - lo[joins]
+            cap = np.minimum.reduceat(slack, starts, axis=0) + v
+            sub_hi[meets] = np.minimum(sub_hi[meets], cap)
+        lo[subs] = sub_lo
+        hi[subs] = sub_hi
+        ok = (sub_lo <= sub_hi).all(axis=0)
+        if not ok.all():
+            bounds = bounds[:, :, ok]
+    mu = bounds[0]
+    return mu.T[np.lexsort(mu[::-1])]
 
 
 def enumerate_extensible_partitions(parent: RankTable,
@@ -164,9 +244,24 @@ def enumerate_extensible_partitions(parent: RankTable,
                                     method: str = "backtrack"):
     """All extensible partitions, sorted by mu-vector.
 
-    method="backtrack" prunes with conditions (I)-(III) as flats are
-    assigned supersets-first; method="filter" is the reference path that
-    screens every (k+1)^|flats| assignment through check_partition.
+    method="backtrack" assigns the flats supersets-first, all partial
+    assignments at once: a frontier of rows holding per-flat lower and
+    upper bounds LO <= mu <= HI (an assigned flat has LO = HI = mu).
+    Assigning flat a expands every row over its interval [LO, HI] and
+    tightens, on every row, each flat the new value constrains, all of
+    them assigned later:
+      (III) a subset s of a:   LO[s] >= mu[a];
+      (II)  a subset s of a:   HI[s] <= mu[a] + rho(a) - rho(s);
+      (I)   the meet of a pair (a, b) with b already assigned:
+            HI[meet] <= mu[a] + mu[b] + d(a, b) - mu[join].
+    Rows with LO > HI anywhere are dropped at once, so the frontier
+    never holds a partial assignment whose bounds are already empty.
+    Measured on 70 n=6 polymatroids of 51-64 flats, the largest
+    frontier was at most 3.3 times the number of partitions returned,
+    and at most 1.13 times on the 15 with more than 100,000 partitions
+    (the largest: 1,729,414 rows for 1,598,828 partitions).
+    method="filter" is the reference path that screens every
+    (k+1)^|flats| assignment through check_partition.
     """
     if lattice is None:
         lattice = flats(parent)
@@ -182,42 +277,12 @@ def enumerate_extensible_partitions(parent: RankTable,
     if method != "backtrack":
         raise ValueError(f"unknown method {method!r}")
 
-    order = _search_order(lattice)
-    by_meet, supersets = _pair_tables(parent, lattice, order)
-    rho = parent.rho
-    fl = lattice.flats
-    k = parent.k
-    mu = [0] * len(fl)
+    mu = _frontier(parent, lattice)
     out = []
-
-    def assign(pos):
-        if pos == len(order):
-            out.append(ExtensiblePartition(tuple(mu)))
-            return
-        a = order[pos]
-        lo, hi = 0, k
-        ra = rho[fl[a]]
-        for b in supersets[a]:
-            # supersets are assigned earlier in this order
-            if mu[b] > lo:
-                lo = mu[b]
-            cap = mu[b] + rho[fl[b]] - ra
-            if cap < hi:
-                hi = cap
-        pairs = by_meet[a]
-        for v in range(lo, hi + 1):
-            ok = True
-            for i, j, join, d in pairs:
-                if v + mu[join] - d > mu[i] + mu[j]:
-                    ok = False
-                    break
-            if ok:
-                mu[a] = v
-                assign(pos + 1)
-        mu[a] = 0
-
-    assign(0)
-    out.sort(key=lambda p: p.mu)
+    # a block of rows at a time: faster than one tolist, and it never
+    # holds every row as a Python list at once
+    for i in range(0, len(mu), 512):
+        out += map(ExtensiblePartition, map(tuple, mu[i:i + 512].tolist()))
     return out
 
 

@@ -72,6 +72,7 @@ class GenerationStats:
         self.partitions += other.partitions
         self.accepted += other.accepted
         self.rejected += other.rejected
+        self.wall_time += other.wall_time
 
 
 def base_catalog(k: int) -> Catalog:

@@ -14,7 +14,6 @@ from polycat.canon import (
     apply_mask_perm,
     canonical_form,
     flat_graph,
-    graph_invariant,
     isomorphic,
     labeled_count,
     relabel,
@@ -191,26 +190,3 @@ class TestFlatGraph:
                 for x in range(1 << cat.n):
                     r = min(c for m, c in g.flat_vertices if x & m == x)
                     assert r == e.table.rho[x]
-
-
-class TestGraphInvariant:
-    def test_relabel_invariance(self, cats3):
-        for cat in cats3:
-            for e in cat.entries:
-                ref = graph_invariant(flat_graph(e.table))
-                for perm in itertools.permutations(range(cat.n)):
-                    t = relabel(e.table, perm)
-                    assert graph_invariant(flat_graph(t)) == ref
-
-    def test_separates_catalog_entries(self, cats5):
-        # the flat graph determines the polymatroid, so the refined
-        # invariant should separate every pair of classes at small n
-        for cat in cats5[:5]:
-            sigs = {graph_invariant(flat_graph(e.table))
-                    for e in cat.entries}
-            assert len(sigs) == len(cat.entries)
-
-    def test_distinguishes_lines_from_points(self):
-        a = graph_invariant(flat_graph(RankTable(1, 2, (0, 2))))
-        b = graph_invariant(flat_graph(RankTable(1, 2, (0, 1))))
-        assert a != b

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -123,6 +124,33 @@ class TestEnumerate:
         for e in cats3[3].entries:
             mus = [p.mu for p in enumerate_extensible_partitions(e.table)]
             assert mus == sorted(set(mus))
+
+    def test_heavy_lattice_pinned(self):
+        # a canonical n=6 parent with 60 flats; the count and digest
+        # were taken from the earlier recursive search
+        heavy = RankTable(6, 2, tuple(map(int, (
+            "0 1 1 2 1 2 2 3 1 2 2 3 2 3 3 4 2 3 3 4 3 4 4 5 3 4 4 5 4 5 5 6 "
+            "2 3 3 4 3 4 4 5 3 4 4 5 4 5 5 6 4 5 5 6 5 6 6 7 5 6 6 7 6 7 7 7"
+        ).split())))
+        lat = flats(heavy)
+        assert len(lat) == 60
+        parts = enumerate_extensible_partitions(heavy, lat)
+        assert len(parts) == 5480
+        digest = hashlib.sha256(b"".join(bytes(p.mu) for p in parts))
+        assert digest.hexdigest() == (
+            "9ea986d64d3436c66527a0e455c3ac81947bd84e16f2e684f65d0beae7696fca")
+        for p in parts[::20]:
+            assert check_partition(heavy, p, lat) is None
+
+    def test_large_k_matches_filter(self):
+        # bounds this wide do not fit in int8
+        for table in (RankTable(1, 100, (0, 100)),
+                      RankTable(1, 100, (0, 70))):
+            lat = flats(table)
+            fast = enumerate_extensible_partitions(table, lat)
+            slow = enumerate_extensible_partitions(table, lat,
+                                                   method="filter")
+            assert fast == slow and len(fast) > 100
 
     def test_unknown_method(self, two_lines):
         with pytest.raises(ValueError):

@@ -90,6 +90,11 @@ class TestGeneration:
         assert stats.accepted == len(nxt)
         assert stats.partitions == stats.accepted + stats.rejected
 
+    def test_stats_merge_adds_every_field(self):
+        a = gen.GenerationStats(1, 10, 3, 7, 0.5)
+        a.merge(gen.GenerationStats(2, 20, 5, 15, 1.25))
+        assert a == gen.GenerationStats(3, 30, 8, 22, 1.75)
+
     def test_parallel_matches_serial(self, cats5):
         nxt, _ = generate_next(cats5[3], jobs=2)
         assert nxt.entries == cats5[4].entries
