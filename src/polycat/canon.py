@@ -1,11 +1,11 @@
 """Canonical labeling of polymatroids and the flat-graph encoding.
 
 The canonical representative is the lexicographically minimal rank-value
-sequence (increasing-bitmask order) over all n! relabelings.  For n <= 8
-only the relabelings that sort the singleton ranks are compared, through
-a gather matrix cached per singleton-rank vector; large candidate sets
-are narrowed eight table entries at a time, gathering each next word for
-the surviving rows only.  Larger n falls back to a pruned prefix search.
+sequence (increasing-bitmask order) over all n! relabelings.  Only the
+relabelings that sort the singleton ranks are compared, through a gather
+matrix cached per singleton-rank vector; large candidate sets are
+narrowed eight table entries at a time, gathering each next word for the
+surviving rows only.  Tables have at most core.MAX_N = 8 elements.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import RankTable, bits_of, flats
 
-_FAST_N = 8
 # Up to this many candidate relabelings a list of per-candidate byte
 # strings is the faster lex-min; beyond it, word narrowing is.  Measured
 # at n=5..7: 144 candidates are faster as strings, 240 by narrowing, and
@@ -166,61 +165,23 @@ def canonical_bytes(rho_bytes: bytes, n: int):
             len(rows))
 
 
-def _canonical_generic(table: RankTable):
-    """Prefix-pruned search over relabelings for n beyond the fast path."""
-    rho = table.rho
-    n = table.n
-    best = {"prefix": None, "perm": None, "aut": 0}
+def automorphisms(rho_bytes: bytes, n: int):
+    """The automorphisms of a table with non-decreasing singleton ranks
+    (a canonical one has them), as a (aut, 2^n) uint8 matrix: row g
+    maps each mask X to g(X), and rho(g(X)) = rho(X) for every X.
 
-    def descend(sel, oldmasks):
-        depth = len(sel)
-        if depth == n:
-            cand = tuple(rho[m] for m in oldmasks)
-            if best["prefix"] is None or cand < best["prefix"]:
-                best["prefix"] = cand
-                best["perm"] = tuple(sel)
-                best["aut"] = 1
-            elif cand == best["prefix"]:
-                best["aut"] += 1
-            return
-        for e in range(n):
-            if e in sel:
-                continue
-            bit = 1 << e
-            new = oldmasks + [m | bit for m in oldmasks]
-            if best["prefix"] is not None:
-                pref = tuple(rho[m] for m in new)
-                if pref > best["prefix"][: len(new)]:
-                    continue
-            descend(sel + [e], new)
-
-    descend([], [0])
-    canon = RankTable(n, table.k, tuple(rho[m] for m in
-                                        _masks_for(best["perm"], n)))
-    # best["perm"][j] = old element given new label j; invert to old->new
-    sigma = [0] * n
-    for j, o in enumerate(best["perm"]):
-        sigma[o] = j
-    return canon, tuple(sigma), best["aut"]
-
-
-def _masks_for(sel, n):
-    masks = [0]
-    for e in sel:
-        bit = 1 << e
-        masks = masks + [m | bit for m in masks]
-    return masks
+    An automorphism leaves the singleton ranks sorted, so it is one of
+    the candidate relabelings canonical_bytes compares."""
+    gather, _sigmas = _candidates(n, _singleton_ranks(n)(rho_bytes))
+    rho = np.frombuffer(rho_bytes, dtype=np.uint8)
+    return gather[(rho[gather] == rho).all(axis=1)]
 
 
 def canonical_form(table: RankTable) -> CanonicalForm:
     """Lex-minimal relabeled table, the relabeling, and aut group order."""
-    n = table.n
-    if n <= _FAST_N:
-        cb, sigma, aut = canonical_bytes(bytes(table.rho), n)
-        canon = RankTable(n, table.k, tuple(cb))
-    else:
-        canon, sigma, aut = _canonical_generic(table)
-    return CanonicalForm(canon, tuple(s + 1 for s in sigma), aut)
+    cb, sigma, aut = canonical_bytes(bytes(table.rho), table.n)
+    return CanonicalForm(RankTable(table.n, table.k, tuple(cb)),
+                         tuple(s + 1 for s in sigma), aut)
 
 
 def isomorphic(a: RankTable, b: RankTable) -> bool:

@@ -35,7 +35,7 @@ def cmd_enumerate(args):
         print(
             f"n={n + 1} count={stats.accepted} "
             f"partitions={stats.partitions} rejected={stats.rejected} "
-            f"time={stats.wall_time:.2f}s",
+            f"canonical={stats.canonical} time={stats.wall_time:.2f}s",
             file=sys.stderr,
         )
     return 0

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-MAX_N = 12
+# canonical labeling compares relabelings as uint8 gathers of n! rows;
+# n = 8 is the last size where that table stays small (10 MB)
+MAX_N = 8
 
 
 def popcount(m: int) -> int:

@@ -6,12 +6,14 @@ Valid assignments are characterized by three conditions on flat pairs;
 for k=2 an equivalent list of seven conditions is reported by
 check_partition for diagnostics.
 
-enumerate_extensible_partitions assigns the flats supersets-first, one
-numpy pass per flat over a frontier of all partial assignments.  Each
-condition bounds a flat assigned later (a subset, or the meet of a
-pair) by flats assigned earlier, so every row carries per-flat lower
-and upper bounds that are tightened as soon as a value is fixed, and a
-row is dropped the moment some interval is empty.
+extensible_rows assigns the flats supersets-first, one numpy pass per
+flat over a frontier of all partial assignments, and returns the
+partitions as the rows of one array; enumerate_extensible_partitions
+wraps them as ExtensiblePartition objects.  Each condition bounds a flat
+assigned later (a subset, or the meet of a pair) by flats assigned
+earlier, so every row carries per-flat lower and upper bounds that are
+tightened as soon as a value is fixed, and a row is dropped the moment
+some interval is empty.
 """
 
 from __future__ import annotations
@@ -203,9 +205,29 @@ def _flat_tables(parent: RankTable, lattice: FlatLattice, dtype):
     return tables
 
 
-def _frontier(parent: RankTable, lattice: FlatLattice):
-    """The mu-vectors of every extensible partition, one row each,
-    sorted; the search is described at enumerate_extensible_partitions."""
+def extensible_rows(parent: RankTable, lattice: FlatLattice | None = None):
+    """The mu-vectors of every extensible partition as the rows of one
+    array (int8, or int64 when k(n+2) >= 128), sorted lexicographically.
+
+    The flats are assigned supersets-first, all partial assignments at
+    once: a frontier of rows holding per-flat lower and upper bounds
+    LO <= mu <= HI (an assigned flat has LO = HI = mu).  Assigning flat
+    a expands every row over its interval [LO, HI] and tightens, on
+    every row, each flat the new value constrains, all of them assigned
+    later:
+      (III) a subset s of a:   LO[s] >= mu[a];
+      (II)  a subset s of a:   HI[s] <= mu[a] + rho(a) - rho(s);
+      (I)   the meet of a pair (a, b) with b already assigned:
+            HI[meet] <= mu[a] + mu[b] + d(a, b) - mu[join].
+    Rows with LO > HI anywhere are dropped at once, so the frontier
+    never holds a partial assignment whose bounds are already empty.
+    Measured on 70 n=6 polymatroids of 51-64 flats, the largest
+    frontier was at most 3.3 times the number of partitions returned,
+    and at most 1.13 times on the 15 with more than 100,000 partitions
+    (the largest: 1,729,414 rows for 1,598,828 partitions).
+    """
+    if lattice is None:
+        lattice = flats(parent)
     # every bound lies in [-k, k(n+2)]
     dtype = np.int8 if parent.k * (parent.n + 2) < 128 else np.int64
     # bounds[0] is LO and bounds[1] is HI, one column per row
@@ -244,24 +266,9 @@ def enumerate_extensible_partitions(parent: RankTable,
                                     method: str = "backtrack"):
     """All extensible partitions, sorted by mu-vector.
 
-    method="backtrack" assigns the flats supersets-first, all partial
-    assignments at once: a frontier of rows holding per-flat lower and
-    upper bounds LO <= mu <= HI (an assigned flat has LO = HI = mu).
-    Assigning flat a expands every row over its interval [LO, HI] and
-    tightens, on every row, each flat the new value constrains, all of
-    them assigned later:
-      (III) a subset s of a:   LO[s] >= mu[a];
-      (II)  a subset s of a:   HI[s] <= mu[a] + rho(a) - rho(s);
-      (I)   the meet of a pair (a, b) with b already assigned:
-            HI[meet] <= mu[a] + mu[b] + d(a, b) - mu[join].
-    Rows with LO > HI anywhere are dropped at once, so the frontier
-    never holds a partial assignment whose bounds are already empty.
-    Measured on 70 n=6 polymatroids of 51-64 flats, the largest
-    frontier was at most 3.3 times the number of partitions returned,
-    and at most 1.13 times on the 15 with more than 100,000 partitions
-    (the largest: 1,729,414 rows for 1,598,828 partitions).
-    method="filter" is the reference path that screens every
-    (k+1)^|flats| assignment through check_partition.
+    method="backtrack" wraps the rows of extensible_rows, where the
+    search is described; method="filter" is the reference path that
+    screens every (k+1)^|flats| assignment through check_partition.
     """
     if lattice is None:
         lattice = flats(parent)
@@ -277,7 +284,7 @@ def enumerate_extensible_partitions(parent: RankTable,
     if method != "backtrack":
         raise ValueError(f"unknown method {method!r}")
 
-    mu = _frontier(parent, lattice)
+    mu = extensible_rows(parent, lattice)
     out = []
     # a block of rows at a time: faster than one tolist, and it never
     # holds every row as a Python list at once
@@ -286,14 +293,18 @@ def enumerate_extensible_partitions(parent: RankTable,
     return out
 
 
+def closure_flats(parent: RankTable, lattice: FlatLattice):
+    """For every mask X, the index of its closure cl(X) in the sorted
+    flat list."""
+    idx = {f: i for i, f in enumerate(lattice.flats)}
+    return [idx[c] for c in closure_table(parent)]
+
+
 def extension_builder(parent: RankTable, lattice: FlatLattice):
     """Closure-sharing fast path: a function mapping a mu-vector to the
     extension's rank tuple, for repeated use on one parent."""
-    cl = closure_table(parent)
-    idx = {f: i for i, f in enumerate(lattice.flats)}
-    cl_idx = [idx[c] for c in cl]
     rho = parent.rho
-    pairs = list(zip(rho, cl_idx))
+    pairs = list(zip(rho, closure_flats(parent, lattice)))
 
     def build(mu):
         return rho + tuple(r + mu[i] for r, i in pairs)

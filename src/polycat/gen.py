@@ -3,13 +3,18 @@ deletion.
 
 Each parent in the catalog X_n is extended by every extensible partition;
 an extension is accepted iff deleting the last element of its canonical
-labeling reproduces the parent exactly.  Extensions of distinct parents
-are never compared, so the outer loop parallelizes with no shared state.
+labeling reproduces the parent exactly.  Partitions in one orbit of the
+parent's automorphism group give isomorphic extensions, so only the
+lex-min partition of each orbit is built and labeled.  Extensions of
+distinct parents are never compared, so the outer loop parallelizes with
+no shared state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import itertools
 import math
 import os
 import re
@@ -19,9 +24,28 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import canon
-from .core import RankTable, flats, k_dual, min_element_rank
-from .extensions import enumerate_extensible_partitions, extension_builder
+from .core import MAX_N, RankTable, flats, k_dual, min_element_rank
+from .extensions import closure_flats, extensible_rows
+# perfbench's tracer wraps these two names where gen would look them up;
+# generation itself no longer calls them
+from .extensions import (  # noqa: F401
+    enumerate_extensible_partitions,
+    extension_builder,
+)
+
+# Partition rows folded and built at a time in extensions_of_parent, so
+# that its temporaries stay a few MB on parents with millions of rows.
+_BLOCK = 1 << 16
+# Shard files merged at once by generate_next_stream.
+_FAN_IN = 64
+# canonical_bytes calls made by extensions_of_parent in this process.
+# _worker takes the difference around its own parents; a counter is used
+# because extensions_of_parent keeps its (accepted, partitions) result,
+# which perfbench's tracer unpacks.
+_canonical_calls = 0
 
 
 @dataclass(frozen=True)
@@ -66,6 +90,7 @@ class GenerationStats:
     accepted: int = 0
     rejected: int = 0
     wall_time: float = 0.0
+    canonical: int = 0  # canonical_bytes calls, one per labeled orbit
 
     def merge(self, other):
         self.parents += other.parents
@@ -73,6 +98,7 @@ class GenerationStats:
         self.accepted += other.accepted
         self.rejected += other.rejected
         self.wall_time += other.wall_time
+        self.canonical += other.canonical
 
 
 def base_catalog(k: int) -> Catalog:
@@ -81,40 +107,92 @@ def base_catalog(k: int) -> Catalog:
     return Catalog(0, k, (entry,))
 
 
+def flat_automorphisms(parent: RankTable, lattice):
+    """Aut(parent) acting on the flats, as a (g, |flats|) index matrix:
+    row g holds, for each flat F, the index of the flat g(F), so that
+    mu[:, row] is the partition mu o g.  The identity and the
+    automorphisms that fix every flat are left out, and each action
+    appears once.  The parent must be canonical."""
+    auts = canon.automorphisms(bytes(parent.rho), parent.n)
+    fl = np.array(lattice.flats, np.intp)
+    index = np.empty(1 << parent.n, np.intp)
+    index[fl] = np.arange(len(fl))
+    acts = np.unique(index[auts[:, fl]], axis=0)
+    return acts[(acts != np.arange(len(fl))).any(axis=1)]
+
+
+def orbit_representatives(rows, acts):
+    """The rows that no action in acts maps to a lexicographically
+    smaller row.  When acts holds every element of a group but the
+    identity and the rows are closed under it, that is the lex-min row
+    of each orbit, one per orbit; the rows keep their order."""
+    for act in acts:
+        if not len(rows):
+            break
+        image = rows[:, act]
+        # the first column where the image differs decides the order;
+        # equal rows give column 0, where they agree
+        first = (image != rows).argmax(axis=1)
+        at = np.arange(len(rows))
+        rows = rows[image[at, first] >= rows[at, first]]
+    return rows
+
+
 def extensions_of_parent(parent: RankTable):
     """Accepted canonical extensions of one parent, sorted, plus the
-    number of partitions tried.  The parent must itself be canonical."""
+    number of partitions tried.  The parent must itself be canonical.
+
+    Only one partition per orbit of Aut(parent) is labeled.  An
+    automorphism g of the parent, extended to the new element e by
+    fixing it, relabels ext(mu o g) into ext(mu), since
+    rho(gX) + mu(cl gX) = rho(X) + (mu o g)(cl X); so a whole orbit
+    shares one canonical form and one accept or reject decision."""
+    global _canonical_calls
     n = parent.n
-    lattice = flats(parent)
-    partitions = enumerate_extensible_partitions(parent, lattice)
-    parent_bytes = bytes(parent.rho)
-    build = extension_builder(parent, lattice)
-    accepted = {}
+    if parent.k * (n + 1) > 255:
+        raise ValueError("extension ranks must fit in one byte")
     half = 1 << n
+    lattice = flats(parent)
+    rows = extensible_rows(parent, lattice)
+    parent_bytes = bytes(parent.rho)
+    acts = flat_automorphisms(parent, lattice)
+    rho = np.frombuffer(parent_bytes, np.uint8)
+    cl_idx = np.array(closure_flats(parent, lattice), np.intp)
     # the canonical labeling sorts the singleton ranks, so its last
     # element has the largest rank; if the new element ranks below a
     # parent element, deleting that last element leaves other singleton
-    # ranks than the parent's, and the candidate would be rejected
+    # ranks than the parent's, and the candidate would be rejected.  The
+    # new element's rank is mu at cl(empty set), the first flat, which
+    # every automorphism fixes, so the test keeps or drops whole orbits.
     top = max(parent.rho[1 << j] for j in range(n)) if n else 0
-    for part in partitions:
-        ext = bytes(build(part.mu))
-        if ext[half] < top:
-            continue
-        cb, _sigma, aut = canon.canonical_bytes(ext, n + 1)
-        # element n+1 is the top bit, so deleting it from the canonical
-        # labeling leaves the first half of the table; that half is
-        # already lex-min among the relabelings of the deletion, because
-        # the full sequence minimizes its first half before the rest
-        if cb[:half] == parent_bytes:
-            accepted[cb] = aut
+    accepted = {}
+    size = 2 * half
+    for i in range(0, len(rows), _BLOCK):
+        block = rows[i:i + _BLOCK]
+        block = orbit_representatives(block[block[:, 0] >= top], acts)
+        ext = np.empty((len(block), size), np.uint8)
+        ext[:, :half] = rho
+        ext[:, half:] = rho + block[:, cl_idx]
+        buf = ext.tobytes()
+        _canonical_calls += len(block)
+        for j in range(0, len(buf), size):
+            cb, _sigma, aut = canon.canonical_bytes(buf[j:j + size], n + 1)
+            # element n+1 is the top bit, so deleting it from the
+            # canonical labeling leaves the first half of the table;
+            # that half is already lex-min among the relabelings of the
+            # deletion, because the full sequence minimizes its first
+            # half before the rest
+            if cb[:half] == parent_bytes:
+                accepted[cb] = aut
     out = sorted(accepted.items())
-    return [(tuple(cb), aut) for cb, aut in out], len(partitions)
+    return [(tuple(cb), aut) for cb, aut in out], len(rows)
 
 
 def _worker(args):
     k, rhos = args
     results = []
     stats = GenerationStats()
+    calls = _canonical_calls
     for rho in rhos:
         n = len(rho).bit_length() - 1
         acc, nparts = extensions_of_parent(RankTable(n, k, rho))
@@ -123,6 +201,7 @@ def _worker(args):
         stats.partitions += nparts
         stats.accepted += len(acc)
         stats.rejected += nparts - len(acc)
+    stats.canonical = _canonical_calls - calls
     return results, stats
 
 
@@ -179,42 +258,57 @@ def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 yield from pool.map(_worker, [(xn.k, b) for b in blks])
 
-    def entry_key(line):
-        return tuple(map(int, line.split()[:-1]))
-
     run_dir = tempfile.mkdtemp(prefix=".shards-", dir=shard_dir)
+    names = (os.path.join(run_dir, f"{i:05d}.txt") for i in itertools.count())
     try:
         shards = []
-        for bi, (results, st) in enumerate(run(blocks)):
+        for results, st in run(blocks):
             stats.merge(st)
             block_entries = sorted(
                 (rho, aut) for acc in results for rho, aut in acc
             )
-            path = os.path.join(run_dir, f"{bi:05d}.txt")
-            with open(path, "w") as fh:
+            shards.append(next(names))
+            with open(shards[-1], "w") as fh:
                 fh.writelines(_entry_line(r, a) for r, a in block_entries)
-            shards.append(path)
-        files = [open(p) for p in shards]
-        try:
-            with open(out_path, "w") as out:
-                out.write(_header(xn.n + 1, xn.k, stats.accepted))
-                for line in heapq.merge(*files, key=entry_key):
-                    out.write(line)
-        finally:
-            for fh in files:
-                fh.close()
+        # merge at most _FAN_IN shards at once, in rounds, so that the
+        # open files stay bounded however many blocks there are
+        while len(shards) > _FAN_IN:
+            groups = [shards[i:i + _FAN_IN]
+                      for i in range(0, len(shards), _FAN_IN)]
+            shards = []
+            for group in groups:
+                shards.append(next(names))
+                with open(shards[-1], "w") as out:
+                    _merge_shards(group, out)
+                for path in group:
+                    os.remove(path)
+        with open(out_path, "w") as out:
+            out.write(_header(xn.n + 1, xn.k, stats.accepted))
+            _merge_shards(shards, out)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
     stats.wall_time = time.monotonic() - start
     return stats
 
 
+def _merge_shards(paths, out):
+    """Write the lines of sorted shard files to out, merged in
+    canonical-key order."""
+    def entry_key(line):
+        return tuple(map(int, line.split()[:-1]))
+
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p)) for p in paths]
+        out.writelines(heapq.merge(*files, key=entry_key))
+
+
 def enumerate_all(n_max: int, k: int, jobs: int = 1):
     """Catalogs for n = 0 ... n_max."""
     if k not in (1, 2):
         raise ValueError("supported element-rank caps are k=1 and k=2")
-    if n_max > 12:
-        raise ValueError("ground sets beyond 12 elements are unsupported")
+    if n_max > MAX_N:
+        raise ValueError(
+            f"ground sets beyond {MAX_N} elements are unsupported")
     cats = [base_catalog(k)]
     for _ in range(n_max):
         nxt, _stats = generate_next(cats[-1], jobs=jobs)

@@ -10,7 +10,6 @@ import pytest
 from polycat import RankTable, flats, k_dual
 from polycat.canon import (
     _SLICE_ROWS,
-    _canonical_generic,
     apply_mask_perm,
     canonical_form,
     flat_graph,
@@ -118,13 +117,6 @@ class TestCanonicalForm:
         assert paths[False, True, True] >= 10
         assert paths[False, True, False] >= 10
         assert paths["late"] >= 1
-
-    def test_generic_path_agrees_with_fast(self, cats5):
-        for e in cats5[4].entries:
-            canon, _sigma, aut = _canonical_generic(e.table)
-            cf = canonical_form(e.table)
-            assert canon.rho == cf.table.rho
-            assert aut == cf.aut_order
 
     def test_dual_has_same_aut_order(self, cats5):
         for e in cats5[4].entries:

@@ -42,6 +42,13 @@ class TestEnumerate:
                      "--jobs", "1", "--stream"]) == 0
         assert read == ["polycat-k2-n1.txt", "polycat-k2-n2.txt"]
 
+    def test_step_lines_count_canonical_forms(self, tmp_path, capsys):
+        assert main(["enumerate", "--n", "3", "--out", str(tmp_path),
+                     "--jobs", "1"]) == 0
+        steps = capsys.readouterr().err.splitlines()[1:]
+        assert [line.split()[4] for line in steps] == [
+            "canonical=3", "canonical=10", "canonical=48"]
+
     def test_matroid_catalogs(self, tmp_path):
         out = tmp_path / "k1"
         assert main(["enumerate", "--n", "3", "--k", "1",

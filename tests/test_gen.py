@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import polycat
 from polycat import (
     RankTable,
     base_catalog,
@@ -14,13 +19,19 @@ from polycat import (
     read_catalog,
     write_catalog,
 )
-from polycat.canon import canonical_bytes, canonical_form
-from polycat.core import flats
+from polycat.canon import apply_mask_perm, canonical_bytes, canonical_form
+from polycat.core import MAX_N, flats
 from polycat.extensions import (
     enumerate_extensible_partitions,
+    extensible_rows,
     extension_builder,
 )
-from polycat.gen import extensions_of_parent, generate_next_stream
+from polycat.gen import (
+    extensions_of_parent,
+    flat_automorphisms,
+    generate_next_stream,
+    orbit_representatives,
+)
 
 
 def _reference_extensions(parent):
@@ -39,6 +50,24 @@ def _reference_extensions(parent):
             accepted[cb] = aut
     out = [(tuple(cb), aut) for cb, aut in sorted(accepted.items())]
     return out, len(parts)
+
+
+def _brute_orbit_minima(parent):
+    """The lex-min partition of each orbit of Aut(parent), sorted, and
+    Aut(parent)'s actions on the flats; the automorphisms are found by
+    trying every permutation."""
+    n = parent.n
+    fl = flats(parent).flats
+    index = {f: i for i, f in enumerate(fl)}
+    acts = set()
+    for p in itertools.permutations(range(n)):
+        if all(parent.rho[apply_mask_perm(m, p)] == parent.rho[m]
+               for m in range(1 << n)):
+            acts.add(tuple(index[apply_mask_perm(f, p)] for f in fl))
+    minima = set()
+    for part in enumerate_extensible_partitions(parent):
+        minima.add(min(tuple(part.mu[j] for j in a) for a in acts))
+    return sorted(minima), acts
 
 
 class TestGeneration:
@@ -89,28 +118,76 @@ class TestGeneration:
         assert stats.parents == len(cats5[3])
         assert stats.accepted == len(nxt)
         assert stats.partitions == stats.accepted + stats.rejected
+        assert stats.accepted <= stats.canonical <= stats.partitions
 
     def test_stats_merge_adds_every_field(self):
-        a = gen.GenerationStats(1, 10, 3, 7, 0.5)
-        a.merge(gen.GenerationStats(2, 20, 5, 15, 1.25))
-        assert a == gen.GenerationStats(3, 30, 8, 22, 1.75)
+        a = gen.GenerationStats(1, 10, 3, 7, 0.5, 4)
+        a.merge(gen.GenerationStats(2, 20, 5, 15, 1.25, 9))
+        assert a == gen.GenerationStats(3, 30, 8, 22, 1.75, 13)
 
     def test_parallel_matches_serial(self, cats5):
-        nxt, _ = generate_next(cats5[3], jobs=2)
+        nxt, stats = generate_next(cats5[3], jobs=2)
         assert nxt.entries == cats5[4].entries
+        assert stats.canonical == generate_next(cats5[3])[1].canonical
 
     def test_acceptance_matches_reference_rule(self, cats5):
         parents = [e.table for cat in cats5[:5] for e in cat.entries]
         parents += [e.table for e in cats5[5].entries[::40]]
-        for parent in parents:
+        # n=6 parents with Aut of order 48 to 720, where the fold leaves
+        # one partition in several dozen: the canonical extensions of two
+        # X_5 entries with Aut of order 120
+        heavy = []
+        for i in (421, 1684):
+            acc, _ = extensions_of_parent(cats5[5].entries[i].table)
+            heavy += [RankTable(6, 2, rho) for rho, aut in acc if aut >= 48]
+        assert len(heavy) == 9
+        for parent in parents + heavy:
             assert extensions_of_parent(parent) == \
                 _reference_extensions(parent)
+
+    def test_fold_keeps_one_row_per_orbit(self, cats5):
+        parents = [e.table for e in cats5[4].entries if e.aut_order > 1]
+        parents += [cats5[5].entries[i].table for i in (1773, 2298, 2379)]
+        for parent in parents:
+            lattice = flats(parent)
+            acts = flat_automorphisms(parent, lattice)
+            minima, brute_acts = _brute_orbit_minima(parent)
+            identity = tuple(range(len(lattice)))
+            assert set(map(tuple, acts.tolist())) == brute_acts - {identity}
+            reps = orbit_representatives(extensible_rows(parent, lattice),
+                                         acts)
+            assert list(map(tuple, reps.tolist())) == minima
+
+    def test_fold_keeps_every_row_without_automorphisms(self, cats5):
+        plain = [e for e in cats5[5].entries if e.aut_order == 1]
+        assert len(plain) > 100
+        for e in plain[::25]:
+            lattice = flats(e.table)
+            acts = flat_automorphisms(e.table, lattice)
+            rows = extensible_rows(e.table, lattice)
+            assert len(acts) == 0
+            assert np.array_equal(orbit_representatives(rows, acts), rows)
+
+    def test_fold_pinned(self, cats5):
+        entry = cats5[5].entries[2370]
+        lattice = flats(entry.table)
+        rows = extensible_rows(entry.table, lattice)
+        reps = orbit_representatives(rows,
+                                     flat_automorphisms(entry.table, lattice))
+        assert (entry.aut_order, len(lattice)) == (120, 27)
+        assert (len(rows), len(reps)) == (14700, 337)
+        _, stats = generate_next(gen.Catalog(5, 2, (entry,)))
+        assert (stats.partitions, stats.canonical) == (14700, 264)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             enumerate_all(2, 3)
         with pytest.raises(ValueError):
-            enumerate_all(13, 2)
+            enumerate_all(MAX_N + 1, 2)
+        with pytest.raises(ValueError):
+            RankTable(MAX_N + 1, 2, (0,) * (1 << (MAX_N + 1)))
+        with pytest.raises(ValueError):  # ranks above 255 in the extension
+            extensions_of_parent(RankTable(1, 200, (0, 200)))
 
 
 class TestCountsAndChecks:
@@ -228,3 +305,25 @@ class TestCatalogFiles:
         assert inner[0].accepted == len(cats5[3])
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "n3.txt", "n4.txt", "ref.txt"]
+
+    def test_stream_merges_under_a_low_open_file_limit(self, cats5,
+                                                       tmp_path):
+        # X_4 -> X_5 gives 228 one-parent blocks, so 228 shards, more
+        # than the 128 files the child process may open
+        write_catalog(cats5[5], tmp_path / "ref.txt")
+        code = (
+            "import resource, sys\n"
+            "from polycat import enumerate_all\n"
+            "from polycat.gen import generate_next_stream\n"
+            "_soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (128, hard))\n"
+            "generate_next_stream(enumerate_all(4, 2)[4], sys.argv[1])\n"
+        )
+        src = os.path.dirname(os.path.dirname(polycat.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code,
+                        str(tmp_path / "n5.txt")], check=True, env=env)
+        assert (tmp_path / "n5.txt").read_bytes() == \
+            (tmp_path / "ref.txt").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "n5.txt", "ref.txt"]
