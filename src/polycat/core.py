@@ -137,11 +137,6 @@ def closure(table: RankTable, x: int) -> int:
     return out
 
 
-def closure_table(table: RankTable) -> tuple:
-    """Closure of every subset, indexed by bitmask."""
-    return tuple(closure(table, m) for m in range(1 << table.n))
-
-
 def flats(table: RankTable) -> FlatLattice:
     """All flats with their ranks and the cover relation (transitive
     reduction of inclusion)."""

@@ -27,7 +27,6 @@ from .core import (
     FlatLattice,
     RankTable,
     closure,
-    closure_table,
     flats,
     modular_defect,
 )
@@ -162,10 +161,7 @@ def _flat_tables(parent: RankTable, lattice: FlatLattice, dtype):
     m = len(fl)
     rho = np.array(parent.rho, np.int64)
     rho_fl = rho[fl]
-    # the closure of a mask is the smallest flat containing it
-    masks = np.arange(1 << parent.n)[:, None]
-    size = np.array([f.bit_count() for f in lattice.flats])
-    cl_idx = np.where((masks & fl) == masks, size, parent.n + 1).argmin(1)
+    cl_idx = closure_flats(parent, lattice)
     pos = np.empty(m, np.intp)
     pos[order] = np.arange(m)
     meet = fl[:, None] & fl
@@ -295,16 +291,19 @@ def enumerate_extensible_partitions(parent: RankTable,
 
 def closure_flats(parent: RankTable, lattice: FlatLattice):
     """For every mask X, the index of its closure cl(X) in the sorted
-    flat list."""
-    idx = {f: i for i, f in enumerate(lattice.flats)}
-    return [idx[c] for c in closure_table(parent)]
+    flat list, as an intp array."""
+    # the closure of a mask is the smallest flat containing it
+    fl = np.array(lattice.flats, np.intp)
+    masks = np.arange(1 << parent.n)[:, None]
+    size = np.array([f.bit_count() for f in lattice.flats])
+    return np.where((masks & fl) == masks, size, parent.n + 1).argmin(1)
 
 
 def extension_builder(parent: RankTable, lattice: FlatLattice):
     """Closure-sharing fast path: a function mapping a mu-vector to the
     extension's rank tuple, for repeated use on one parent."""
     rho = parent.rho
-    pairs = list(zip(rho, closure_flats(parent, lattice)))
+    pairs = list(zip(rho, closure_flats(parent, lattice).tolist()))
 
     def build(mu):
         return rho + tuple(r + mu[i] for r, i in pairs)

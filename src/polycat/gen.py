@@ -8,6 +8,12 @@ parent's automorphism group give isomorphic extensions, so only the
 lex-min partition of each orbit is built and labeled.  Extensions of
 distinct parents are never compared, so the outer loop parallelizes with
 no shared state.
+
+One runner, _blocks, cuts the parents into blocks and runs them in
+order, serially or on a process pool, each block giving its accepted
+extensions sorted.  generate_next merges the blocks in memory;
+generate_next_stream writes each block to a shard file and merges the
+shards into the catalog file.
 """
 
 from __future__ import annotations
@@ -157,7 +163,7 @@ def extensions_of_parent(parent: RankTable):
     parent_bytes = bytes(parent.rho)
     acts = flat_automorphisms(parent, lattice)
     rho = np.frombuffer(parent_bytes, np.uint8)
-    cl_idx = np.array(closure_flats(parent, lattice), np.intp)
+    cl_idx = closure_flats(parent, lattice)
     # the canonical labeling sorts the singleton ranks, so its last
     # element has the largest rank; if the new element ranks below a
     # parent element, deleting that last element leaves other singleton
@@ -189,87 +195,77 @@ def extensions_of_parent(parent: RankTable):
 
 
 def _worker(args):
+    """Accepted extensions of one block of parents as one sorted list of
+    (rho, aut), with the block's stats."""
     k, rhos = args
-    results = []
+    accepted = []
     stats = GenerationStats()
     calls = _canonical_calls
     for rho in rhos:
         n = len(rho).bit_length() - 1
         acc, nparts = extensions_of_parent(RankTable(n, k, rho))
-        results.append(acc)
+        accepted += acc
         stats.parents += 1
         stats.partitions += nparts
         stats.accepted += len(acc)
         stats.rejected += nparts - len(acc)
     stats.canonical = _canonical_calls - calls
-    return results, stats
+    accepted.sort()
+    return accepted, stats
 
 
-def _parent_results(xn: Catalog, jobs: int):
-    """Yield the accepted-extension list of each parent, in catalog
-    order, with stats accumulated into the returned object."""
-    stats = GenerationStats()
+def _blocks(xn: Catalog, jobs: int):
+    """_worker's result for each block of parents, in catalog order.  The
+    parents are cut into at most 1024 blocks; with jobs > 1 and at least
+    4 parents the blocks run on a pool of that many processes."""
     rhos = [e.table.rho for e in xn.entries]
+    chunk = max(1, (len(rhos) + 1023) // 1024)
+    tasks = [(xn.k, rhos[i:i + chunk]) for i in range(0, len(rhos), chunk)]
     if jobs <= 1 or len(rhos) < 4:
-        results, stats = _worker((xn.k, rhos))
-        return results, stats
-    chunk = max(1, (len(rhos) + jobs * 4 - 1) // (jobs * 4))
-    blocks = [rhos[i:i + chunk] for i in range(0, len(rhos), chunk)]
-    results = []
+        yield from map(_worker, tasks)
+        return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for res, st in pool.map(_worker, [(xn.k, b) for b in blocks]):
-            results.extend(res)
-            stats.merge(st)
-    return results, stats
+        yield from pool.map(_worker, tasks)
 
 
 def generate_next(xn: Catalog, jobs: int = 1):
     """One canonical-deletion step: the complete catalog for n+1."""
     start = time.monotonic()
-    results, stats = _parent_results(xn, jobs)
-    entries = []
-    for acc in results:
-        for rho, aut in acc:
-            entries.append(CatalogEntry(RankTable(xn.n + 1, xn.k, rho), aut))
-    entries.sort(key=lambda e: e.table.rho)
+    stats = GenerationStats()
+    blocks = []
+    for accepted, st in _blocks(xn, jobs):
+        stats.merge(st)
+        blocks.append(accepted)
+    # each class has one rho, accepted at one parent, so merging the
+    # sorted blocks sorts the catalog
+    entries = tuple(CatalogEntry(RankTable(xn.n + 1, xn.k, rho), aut)
+                    for rho, aut in heapq.merge(*blocks))
     stats.wall_time = time.monotonic() - start
-    return Catalog(xn.n + 1, xn.k, tuple(entries)), stats
+    return Catalog(xn.n + 1, xn.k, entries), stats
 
 
 def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
                          shard_dir=None):
-    """Streaming variant: accepted extensions go to sorted per-block
-    shards on disk, merged into the catalog file by canonical key.
-    Only counts are kept in memory.  The shards live in a private
-    directory under shard_dir (default: the output's directory) that is
-    removed on return or on error."""
+    """generate_next with the catalog written to out_path instead of
+    kept: each block's accepted extensions go to a sorted shard file, and
+    the shards are merged into the catalog by canonical key.  Only counts
+    are kept in memory.  The shards live in a private directory under
+    shard_dir (default: the output's directory) that is removed on
+    return or on error.  The catalog is merged into a temporary file
+    beside out_path and renamed onto it at the end, so a failed run
+    leaves any earlier file at out_path as it was."""
     start = time.monotonic()
-    shard_dir = shard_dir or os.path.dirname(os.path.abspath(out_path))
+    out_dir = os.path.dirname(os.path.abspath(out_path))
     stats = GenerationStats()
-    rhos = [e.table.rho for e in xn.entries]
-    chunk = max(1, (len(rhos) + 1023) // 1024)
-    blocks = [rhos[i:i + chunk] for i in range(0, len(rhos), chunk)]
-
-    def run(blks):
-        if jobs <= 1:
-            for b in blks:
-                yield _worker((xn.k, b))
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                yield from pool.map(_worker, [(xn.k, b) for b in blks])
-
-    run_dir = tempfile.mkdtemp(prefix=".shards-", dir=shard_dir)
+    run_dir = tempfile.mkdtemp(prefix=".shards-", dir=shard_dir or out_dir)
     names = (os.path.join(run_dir, f"{i:05d}.txt") for i in itertools.count())
     try:
         shards = []
-        for results, st in run(blocks):
+        for accepted, st in _blocks(xn, jobs):
             stats.merge(st)
-            block_entries = sorted(
-                (rho, aut) for acc in results for rho, aut in acc
-            )
             shards.append(next(names))
             with open(shards[-1], "w") as fh:
-                fh.writelines(_entry_line(r, a) for r, a in block_entries)
+                fh.writelines(_entry_line(r, a) for r, a in accepted)
         # merge at most _FAN_IN shards at once, in rounds, so that the
         # open files stay bounded however many blocks there are
         while len(shards) > _FAN_IN:
@@ -282,9 +278,20 @@ def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
                     _merge_shards(group, out)
                 for path in group:
                     os.remove(path)
-        with open(out_path, "w") as out:
-            out.write(_header(xn.n + 1, xn.k, stats.accepted))
-            _merge_shards(shards, out)
+        fd, tmp = tempfile.mkstemp(prefix=".catalog-", dir=out_dir)
+        try:
+            with open(fd, "w") as out:
+                out.write(_header(xn.n + 1, xn.k, stats.accepted))
+                _merge_shards(shards, out)
+            # mkstemp makes the file private; give it the mode a plain
+            # open would have
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, out_path)
+        except BaseException:
+            os.remove(tmp)
+            raise
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
     stats.wall_time = time.monotonic() - start

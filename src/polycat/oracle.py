@@ -1,10 +1,12 @@
 """Independent brute-force verification of the catalogs.
 
-Labeled polymatroids are counted by direct depth-first assignment of the
-rank-table entries in increasing-bitmask order, pruning with the local
-submodular inequalities, the monotone step bounds, and the cardinality
-cap.  Nothing here shares logic with the canonical-deletion generator
-beyond the core table type.
+One depth-first search, _search, assigns rank-table entries subsets
+first, pruning with the local submodular inequalities, the monotone step
+bounds, and the cardinality cap.  Its callers give only the order of the
+masks and what to do with each complete table: count labeled tables by
+rank, collect the extensions of a fixed parent, or collect canonical
+forms to count classes.  Nothing here shares logic with the
+canonical-deletion generator beyond the core table type.
 """
 
 from __future__ import annotations
@@ -12,10 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import RankTable, popcount
-
-
-class NodeBudgetExceeded(RuntimeError):
-    pass
 
 
 def _bounds(rho, m, n, k):
@@ -44,8 +42,27 @@ def _bounds(rho, m, n, k):
     return lo, hi
 
 
-def brute_labeled_count(n: int, k: int, order: str = "forward",
-                        node_budget: int | None = None):
+def _search(rho, masks, n, k, leaf):
+    """Assign rho[m] for the masks in order, depth first, over every
+    value _bounds allows, and call leaf(rho) on each complete table.
+    Every proper subset of a mask must be fixed in rho or come earlier
+    in masks."""
+    last = len(masks)
+
+    def assign(i):
+        if i == last:
+            leaf(rho)
+            return
+        m = masks[i]
+        lo, hi = _bounds(rho, m, n, k)
+        for v in range(lo, hi + 1):
+            rho[m] = v
+            assign(i + 1)
+
+    assign(0)
+
+
+def brute_labeled_count(n: int, k: int, order: str = "forward"):
     """(total, per-rank counts) of all valid labeled k-polymatroid tables
     on {1, ..., n}.
 
@@ -60,28 +77,13 @@ def brute_labeled_count(n: int, k: int, order: str = "forward",
         masks = sorted(range(1, size), key=lambda m: (popcount(m), -m))
     else:
         raise ValueError(f"unknown order {order!r}")
-    rho = [0] * size
     per_rank = [0] * (k * n + 1)
-    nodes = 0
     full = size - 1
 
-    def assign(i):
-        nonlocal nodes
-        if i == len(masks):
-            per_rank[rho[full]] += 1
-            return
-        m = masks[i]
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise NodeBudgetExceeded(f"exceeded {node_budget} search nodes")
-        lo, hi = _bounds(rho, m, n, k)
-        if popcount(m) == 1 and hi > k:
-            hi = k
-        for v in range(lo, hi + 1):
-            rho[m] = v
-            assign(i + 1)
+    def leaf(rho):
+        per_rank[rho[full]] += 1
 
-    assign(0)
+    _search([0] * size, masks, n, k, leaf)
     return sum(per_rank), per_rank
 
 
@@ -89,27 +91,14 @@ def brute_extensions(parent: RankTable):
     """All valid single-element extension tables of a labeled parent, by
     the same depth-first constraint search with the parent half fixed."""
     n, k = parent.n, parent.k
-    size = 1 << (n + 1)
-    e_bit = 1 << n
-    rho = list(parent.rho) + [0] * (size // 2)
-    masks = sorted(
-        (m | e_bit for m in range(size // 2)), key=popcount
-    )
+    half = 1 << n
+    masks = sorted((m | half for m in range(half)), key=popcount)
     out = []
 
-    def assign(i):
-        if i == len(masks):
-            out.append(RankTable(n + 1, k, tuple(rho)))
-            return
-        m = masks[i]
-        lo, hi = _bounds(rho, m, n + 1, k)
-        if popcount(m) == 1 and hi > k:
-            hi = k
-        for v in range(lo, hi + 1):
-            rho[m] = v
-            assign(i + 1)
+    def leaf(rho):
+        out.append(RankTable(n + 1, k, tuple(rho)))
 
-    assign(0)
+    _search(list(parent.rho) + [0] * half, masks, n + 1, k, leaf)
     return out
 
 
@@ -192,25 +181,11 @@ def _brute_class_count(n: int, k: int) -> int:
     canonical labeling (no canonical-deletion logic involved)."""
     from . import canon
 
-    if n == 0:
-        return 1
+    masks = sorted(range(1, 1 << n), key=popcount)
     seen = set()
-    size = 1 << n
-    masks = sorted(range(1, size), key=popcount)
-    rho = [0] * size
 
-    def assign(i):
-        if i == len(masks):
-            cb, _s, _a = canon.canonical_bytes(bytes(rho), n)
-            seen.add(cb)
-            return
-        m = masks[i]
-        lo, hi = _bounds(rho, m, n, k)
-        if popcount(m) == 1 and hi > k:
-            hi = k
-        for v in range(lo, hi + 1):
-            rho[m] = v
-            assign(i + 1)
+    def leaf(rho):
+        seen.add(canon.canonical_bytes(bytes(rho), n)[0])
 
-    assign(0)
+    _search([0] * (1 << n), masks, n, k, leaf)
     return len(seen)

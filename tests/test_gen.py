@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -130,6 +131,22 @@ class TestGeneration:
         assert nxt.entries == cats5[4].entries
         assert stats.canonical == generate_next(cats5[3])[1].canonical
 
+    def test_failure_propagates_from_generate_next(self, cats5,
+                                                   monkeypatch):
+        real = gen._worker
+        calls = []
+
+        def failing(args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("injected failure")
+            return real(args)
+
+        monkeypatch.setattr(gen, "_worker", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            generate_next(cats5[3])
+        assert len(calls) == 2
+
     def test_acceptance_matches_reference_rule(self, cats5):
         parents = [e.table for cat in cats5[:5] for e in cat.entries]
         parents += [e.table for e in cats5[5].entries[::40]]
@@ -255,13 +272,17 @@ class TestCatalogFiles:
         with pytest.raises(ValueError):
             read_catalog(p)
 
-    def test_stream_matches_in_memory(self, cats5, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stream_matches_in_memory(self, cats5, tmp_path, jobs):
+        nxt, ref_stats = generate_next(cats5[3], jobs=jobs)
         ref = tmp_path / "ref.txt"
-        write_catalog(cats5[4], ref)
+        write_catalog(nxt, ref)
         out = tmp_path / "stream.txt"
-        stats = generate_next_stream(cats5[3], out)
+        stats = generate_next_stream(cats5[3], out, jobs=jobs)
         assert out.read_bytes() == ref.read_bytes()
-        assert stats.accepted == len(cats5[4])
+        assert nxt.entries == cats5[4].entries
+        assert dataclasses.replace(stats, wall_time=0) == \
+            dataclasses.replace(ref_stats, wall_time=0)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "ref.txt", "stream.txt"]
 
@@ -281,6 +302,25 @@ class TestCatalogFiles:
             generate_next_stream(cats5[3], tmp_path / "out.txt")
         assert len(calls) == 2  # one block's shard was written first
         assert list(tmp_path.iterdir()) == []
+
+    def test_stream_failure_keeps_the_old_catalog(self, cats5, tmp_path,
+                                                  monkeypatch):
+        out = tmp_path / "out.txt"
+        write_catalog(cats5[4], out)
+        old = out.read_bytes()
+        real = gen._merge_shards
+
+        def failing(paths, fh):
+            # X_3 -> X_4 makes 40 shards, so this is the final merge;
+            # it writes part of the catalog before it fails
+            real(paths[:1], fh)
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(gen, "_merge_shards", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            generate_next_stream(cats5[3], out)
+        assert out.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
     def test_stream_runs_share_a_directory(self, cats5, tmp_path,
                                            monkeypatch):

@@ -3,7 +3,6 @@ import pytest
 from polycat import RankTable
 from polycat.extensions import enumerate_extensible_partitions, extend
 from polycat.oracle import (
-    NodeBudgetExceeded,
     brute_extensions,
     brute_labeled_count,
     cross_check,
@@ -41,10 +40,6 @@ class TestBruteLabeledCount:
     def test_unknown_order(self):
         with pytest.raises(ValueError):
             brute_labeled_count(2, 2, order="sideways")
-
-    def test_node_budget(self):
-        with pytest.raises(NodeBudgetExceeded):
-            brute_labeled_count(3, 2, node_budget=5)
 
 
 class TestBruteExtensions:
