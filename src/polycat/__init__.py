@@ -23,7 +23,6 @@ from .core import (
     validate,
 )
 from .extensions import (
-    ExtensiblePartition,
     check_partition,
     enumerate_extensible_partitions,
     extend,

@@ -18,6 +18,8 @@ def _catalog_path(outdir, n, k):
 
 
 def cmd_enumerate(args):
+    if not 0 <= args.n <= core.MAX_N:
+        raise ValueError(f"--n must lie in 0..{core.MAX_N}, not {args.n}")
     os.makedirs(args.out, exist_ok=True)
     cat = gen.base_catalog(args.k)
     gen.write_catalog(cat, _catalog_path(args.out, 0, args.k))

@@ -2,18 +2,19 @@
 
 A partition assigns every flat F a class mu(F) in {0, ..., k} (empty
 classes allowed); the extension is rho_ext(X|e) = rho(X) + mu(cl(X)).
-Valid assignments are characterized by three conditions on flat pairs;
-for k=2 an equivalent list of seven conditions is reported by
-check_partition for diagnostics.
+A partition is a mu-vector aligned with the sorted flats: a plain
+sequence, or one row of a numpy array.  Valid assignments are
+characterized by three conditions on flat pairs; for k=2 an equivalent
+list of seven conditions is reported by check_partition for diagnostics.
 
-extensible_rows assigns the flats supersets-first, one numpy pass per
-flat over a frontier of all partial assignments, and returns the
-partitions as the rows of one array; enumerate_extensible_partitions
-wraps them as ExtensiblePartition objects.  Each condition bounds a flat
-assigned later (a subset, or the meet of a pair) by flats assigned
-earlier, so every row carries per-flat lower and upper bounds that are
-tightened as soon as a value is fixed, and a row is dropped the moment
-some interval is empty.
+enumerate_extensible_partitions assigns the flats supersets-first, one
+numpy pass per flat over a frontier of all partial assignments, and
+returns the partitions as the rows of one array.  Each condition bounds
+a flat assigned later (a subset, or the meet of a pair) by flats
+assigned earlier, so every row carries per-flat lower and upper bounds
+that are tightened as soon as a value is fixed, and a row is dropped
+the moment some interval is empty.  extension_builder turns one row, or
+a block of rows, into extension rank tables.
 """
 
 from __future__ import annotations
@@ -33,26 +34,14 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class ExtensiblePartition:
-    """Class index per flat, aligned with the sorted flat list of the
-    parent's lattice."""
-
-    mu: tuple
-
-    def serialize(self) -> str:
-        return "".join(map(str, self.mu))
-
-
-@dataclass(frozen=True)
 class ConditionViolation:
     condition: str  # "1".."7" for k=2, "I"/"II"/"III" otherwise
     flats: tuple
 
 
-def mu_of_set(parent: RankTable, lattice: FlatLattice,
-              partition: ExtensiblePartition, x: int) -> int:
+def mu_of_set(parent: RankTable, lattice: FlatLattice, mu, x: int) -> int:
     """Class of an arbitrary subset: mu read at its closure."""
-    return partition.mu[lattice.index(closure(parent, x))]
+    return mu[lattice.index(closure(parent, x))]
 
 
 def _check_general(parent: RankTable, lattice: FlatLattice, mu):
@@ -122,15 +111,12 @@ def _check_seven(parent: RankTable, lattice: FlatLattice, mu):
 
 
 def check_partition(parent: RankTable, mu, lattice: FlatLattice | None = None):
-    """Validate a candidate class assignment; None means extensible.
-
-    mu may be an ExtensiblePartition or a plain sequence aligned with the
-    sorted flats.
-    """
+    """Validate a candidate class assignment, a mu sequence aligned with
+    the sorted flats (a tuple, or a row of enumerated partitions); None
+    means extensible."""
     if lattice is None:
         lattice = flats(parent)
-    if isinstance(mu, ExtensiblePartition):
-        mu = mu.mu
+    mu = [int(v) for v in mu]
     if len(mu) != len(lattice):
         raise ValueError("assignment length does not match flat count")
     if any(not 0 <= v <= parent.k for v in mu):
@@ -201,7 +187,8 @@ def _flat_tables(parent: RankTable, lattice: FlatLattice, dtype):
     return tables
 
 
-def extensible_rows(parent: RankTable, lattice: FlatLattice | None = None):
+def enumerate_extensible_partitions(parent: RankTable,
+                                    lattice: FlatLattice | None = None):
     """The mu-vectors of every extensible partition as the rows of one
     array (int8, or int64 when k(n+2) >= 128), sorted lexicographically.
 
@@ -224,8 +211,7 @@ def extensible_rows(parent: RankTable, lattice: FlatLattice | None = None):
     """
     if lattice is None:
         lattice = flats(parent)
-    # every bound lies in [-k, k(n+2)]
-    dtype = np.int8 if parent.k * (parent.n + 2) < 128 else np.int64
+    dtype = _row_dtype(parent)
     # bounds[0] is LO and bounds[1] is HI, one column per row
     bounds = np.empty((2, len(lattice), 1), dtype)
     bounds[0], bounds[1] = 0, parent.k
@@ -257,36 +243,19 @@ def extensible_rows(parent: RankTable, lattice: FlatLattice | None = None):
     return mu.T[np.lexsort(mu[::-1])]
 
 
-def enumerate_extensible_partitions(parent: RankTable,
-                                    lattice: FlatLattice | None = None,
-                                    method: str = "backtrack"):
-    """All extensible partitions, sorted by mu-vector.
+def _row_dtype(parent: RankTable):
+    # every frontier bound lies in [-k, k(n+2)]
+    return np.int8 if parent.k * (parent.n + 2) < 128 else np.int64
 
-    method="backtrack" wraps the rows of extensible_rows, where the
-    search is described; method="filter" is the reference path that
-    screens every (k+1)^|flats| assignment through check_partition.
-    """
-    if lattice is None:
-        lattice = flats(parent)
-    if method == "filter":
-        out = [
-            ExtensiblePartition(mu)
-            for mu in itertools.product(range(parent.k + 1),
-                                        repeat=len(lattice))
-            if check_partition(parent, mu, lattice) is None
-        ]
-        out.sort(key=lambda p: p.mu)
-        return out
-    if method != "backtrack":
-        raise ValueError(f"unknown method {method!r}")
 
-    mu = extensible_rows(parent, lattice)
-    out = []
-    # a block of rows at a time: faster than one tolist, and it never
-    # holds every row as a Python list at once
-    for i in range(0, len(mu), 512):
-        out += map(ExtensiblePartition, map(tuple, mu[i:i + 512].tolist()))
-    return out
+def _partitions_by_filter(parent: RankTable, lattice: FlatLattice):
+    """Reference path for enumerate_extensible_partitions, with the same
+    result: every (k+1)^|flats| assignment, in lexicographic order,
+    screened through check_partition."""
+    rows = [mu for mu in itertools.product(range(parent.k + 1),
+                                           repeat=len(lattice))
+            if check_partition(parent, mu, lattice) is None]
+    return np.array(rows, _row_dtype(parent)).reshape(-1, len(lattice))
 
 
 def closure_flats(parent: RankTable, lattice: FlatLattice):
@@ -300,47 +269,52 @@ def closure_flats(parent: RankTable, lattice: FlatLattice):
 
 
 def extension_builder(parent: RankTable, lattice: FlatLattice):
-    """Closure-sharing fast path: a function mapping a mu-vector to the
-    extension's rank tuple, for repeated use on one parent."""
-    rho = parent.rho
-    pairs = list(zip(rho, closure_flats(parent, lattice).tolist()))
+    """A function build(rows) for repeated use on one parent: it maps a
+    mu-vector to the extension's rank table [rho | rho + mu[cl(X)]], and
+    a 2-D block of them to one table per row, as a numpy array of uint8
+    when k(n+1) <= 255 and of int64 otherwise."""
+    dtype = np.uint8 if parent.k * (parent.n + 1) <= 255 else np.int64
+    rho = np.array(parent.rho, dtype)
+    cl_idx = closure_flats(parent, lattice)
 
-    def build(mu):
-        return rho + tuple(r + mu[i] for r, i in pairs)
+    def build(rows):
+        rows = np.asarray(rows)
+        ext = np.empty(rows.shape[:-1] + (2 * len(rho),), dtype)
+        ext[..., :len(rho)] = rho
+        ext[..., len(rho):] = rho + rows[..., cl_idx]
+        return ext
 
     return build
 
 
-def extend(parent: RankTable, partition: ExtensiblePartition,
-           lattice: FlatLattice | None = None,
+def _require_extensible(parent, mu, lattice):
+    bad = check_partition(parent, mu, lattice)
+    if bad is not None:
+        raise ValueError(f"partition is not extensible: "
+                         f"condition ({bad.condition}) fails at "
+                         f"flats {bad.flats}")
+
+
+def extend(parent: RankTable, mu, lattice: FlatLattice | None = None,
            checked: bool = True) -> RankTable:
-    """The single-element extension defined by a partition; the new
-    element is numbered n+1 (the highest bit)."""
+    """The single-element extension defined by a partition's mu-vector;
+    the new element is numbered n+1 (the highest bit)."""
     if lattice is None:
         lattice = flats(parent)
     if checked:
-        bad = check_partition(parent, partition, lattice)
-        if bad is not None:
-            raise ValueError(f"partition is not extensible: "
-                             f"condition ({bad.condition}) fails at "
-                             f"flats {bad.flats}")
-    ext = extension_builder(parent, lattice)(partition.mu)
-    return RankTable(parent.n + 1, parent.k, ext)
+        _require_extensible(parent, mu, lattice)
+    ext = extension_builder(parent, lattice)(mu)
+    return RankTable(parent.n + 1, parent.k, tuple(ext.tolist()))
 
 
-def extension_flats(parent: RankTable, partition: ExtensiblePartition,
+def extension_flats(parent: RankTable, mu,
                     lattice: FlatLattice | None = None):
     """Flats of the extension, read off the partition directly:
     F for F outside M_0; F|e for F in M_0; F|e for F in M_i (i>0) with
     no cover G satisfying rho(F)+mu(F) = rho(G)+mu(G)."""
     if lattice is None:
         lattice = flats(parent)
-    bad = check_partition(parent, partition, lattice)
-    if bad is not None:
-        raise ValueError(f"partition is not extensible: "
-                         f"condition ({bad.condition}) fails at "
-                         f"flats {bad.flats}")
-    mu = partition.mu
+    _require_extensible(parent, mu, lattice)
     rho = parent.rho
     e_bit = 1 << parent.n
     idx = {f: i for i, f in enumerate(lattice.flats)}

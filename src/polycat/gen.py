@@ -5,9 +5,12 @@ Each parent in the catalog X_n is extended by every extensible partition;
 an extension is accepted iff deleting the last element of its canonical
 labeling reproduces the parent exactly.  Partitions in one orbit of the
 parent's automorphism group give isomorphic extensions, so only the
-lex-min partition of each orbit is built and labeled.  Extensions of
-distinct parents are never compared, so the outer loop parallelizes with
-no shared state.
+lex-min partition of each orbit is built and labeled.  A parent's
+partitions are the rows of one numpy array
+(extensions.enumerate_extensible_partitions); the prefilter and the fold
+select rows, and extensions.extension_builder turns each block of rows
+into extension tables at once.  Extensions of distinct parents are never
+compared, so the outer loop parallelizes with no shared state.
 
 One runner, _blocks, cuts the parents into blocks and runs them in
 order, serially or on a process pool, each block giving its accepted
@@ -34,13 +37,7 @@ import numpy as np
 
 from . import canon
 from .core import MAX_N, RankTable, flats, k_dual, min_element_rank
-from .extensions import closure_flats, extensible_rows
-# perfbench's tracer wraps these two names where gen would look them up;
-# generation itself no longer calls them
-from .extensions import (  # noqa: F401
-    enumerate_extensible_partitions,
-    extension_builder,
-)
+from .extensions import enumerate_extensible_partitions, extension_builder
 
 # Partition rows folded and built at a time in extensions_of_parent, so
 # that its temporaries stay a few MB on parents with millions of rows.
@@ -159,11 +156,10 @@ def extensions_of_parent(parent: RankTable):
         raise ValueError("extension ranks must fit in one byte")
     half = 1 << n
     lattice = flats(parent)
-    rows = extensible_rows(parent, lattice)
+    rows = enumerate_extensible_partitions(parent, lattice)
     parent_bytes = bytes(parent.rho)
     acts = flat_automorphisms(parent, lattice)
-    rho = np.frombuffer(parent_bytes, np.uint8)
-    cl_idx = closure_flats(parent, lattice)
+    build = extension_builder(parent, lattice)
     # the canonical labeling sorts the singleton ranks, so its last
     # element has the largest rank; if the new element ranks below a
     # parent element, deleting that last element leaves other singleton
@@ -176,10 +172,7 @@ def extensions_of_parent(parent: RankTable):
     for i in range(0, len(rows), _BLOCK):
         block = rows[i:i + _BLOCK]
         block = orbit_representatives(block[block[:, 0] >= top], acts)
-        ext = np.empty((len(block), size), np.uint8)
-        ext[:, :half] = rho
-        ext[:, half:] = rho + block[:, cl_idx]
-        buf = ext.tobytes()
+        buf = build(block).tobytes()
         _canonical_calls += len(block)
         for j in range(0, len(buf), size):
             cb, _sigma, aut = canon.canonical_bytes(buf[j:j + size], n + 1)

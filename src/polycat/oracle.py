@@ -131,8 +131,8 @@ def cross_check(catalogs, n_max: int | None = None,
     """Compare the catalogs against brute force, per n:
     labeled totals, isomorphism-class counts, and (up to extension_n_max)
     per-parent extension sets versus the partition-generated ones."""
-    from .extensions import enumerate_extensible_partitions
-    from .extensions import extend as build_extension
+    from .core import flats
+    from .extensions import enumerate_extensible_partitions, extension_builder
 
     cats = {c.n: c for c in catalogs}
     if n_max is None:
@@ -161,11 +161,10 @@ def cross_check(catalogs, n_max: int | None = None,
         mism = 0
         for entry in cat.entries:
             brute = {t.rho for t in brute_extensions(entry.table)}
-            parts = enumerate_extensible_partitions(entry.table)
-            built = {
-                build_extension(entry.table, p, checked=False).rho
-                for p in parts
-            }
+            lattice = flats(entry.table)
+            parts = enumerate_extensible_partitions(entry.table, lattice)
+            build = extension_builder(entry.table, lattice)
+            built = set(map(tuple, build(parts).tolist()))
             if brute != built:
                 mism += 1
                 if ok:

@@ -102,8 +102,8 @@ def _labeled_by_partition_counting(cat):
     for e in cat.entries:
         parts = enumerate_extensible_partitions(e.table)
         total += len(parts)
-        for p in parts:
-            counts[e.table.rank + p.mu[-1]] += fact // e.aut_order
+        for top in parts[:, -1].tolist():
+            counts[e.table.rank + top] += fact // e.aut_order
     return counts, total
 
 

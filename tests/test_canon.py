@@ -60,8 +60,8 @@ def n6_tables(cats5):
         lattice = flats(e.table)
         build = extension_builder(e.table, lattice)
         parts = enumerate_extensible_partitions(e.table, lattice)
-        for part in rng.sample(parts, min(12, len(parts))):
-            ext = RankTable(6, 2, build(part.mu))
+        for i in rng.sample(range(len(parts)), min(12, len(parts))):
+            ext = RankTable(6, 2, tuple(build(parts[i]).tolist()))
             perm = list(range(6))
             rng.shuffle(perm)
             tables.append(relabel(ext, perm))

@@ -4,6 +4,7 @@ import pytest
 
 from polycat import gen, read_catalog
 from polycat.cli import main
+from polycat.core import MAX_N
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,19 @@ class TestEnumerate:
         steps = capsys.readouterr().err.splitlines()[1:]
         assert [line.split()[4] for line in steps] == [
             "canonical=3", "canonical=10", "canonical=48"]
+
+    @pytest.mark.parametrize("n", [-1, MAX_N + 1])
+    def test_rejects_n_out_of_range(self, tmp_path, capsys, monkeypatch, n):
+        def step(*_args, **_kwargs):
+            raise AssertionError("a step ran")
+
+        # without the check, --n 9 would run every step up to n=8
+        monkeypatch.setattr(gen, "generate_next", step)
+        out = tmp_path / "cats"
+        assert main(["enumerate", "--n", str(n), "--out", str(out),
+                     "--jobs", "1"]) == 2
+        assert not out.exists()
+        assert f"--n must lie in 0..{MAX_N}" in capsys.readouterr().err
 
     def test_matroid_catalogs(self, tmp_path):
         out = tmp_path / "k1"

@@ -1,15 +1,17 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from polycat import RankTable, flats, validate
 from polycat.extensions import (
-    ExtensiblePartition,
     _check_general,
     _check_seven,
+    _partitions_by_filter,
     check_partition,
     enumerate_extensible_partitions,
+    extension_builder,
     extend,
     extension_flats,
     mu_of_set,
@@ -18,7 +20,7 @@ from polycat.oracle import brute_extensions
 
 # partitions below are mu-vectors over sorted flats; for two free lines
 # the flat order is (empty, {a}, {b}, {a,b})
-THREE_LINES_PARTITION = ExtensiblePartition((2, 1, 1, 0))
+THREE_LINES_PARTITION = (2, 1, 1, 0)
 
 
 class TestMuOfSet:
@@ -36,7 +38,7 @@ class TestMuOfSet:
             lat = flats(t)
             for p in enumerate_extensible_partitions(t, lat):
                 for i, f in enumerate(lat.flats):
-                    assert mu_of_set(t, lat, p, f) == p.mu[i]
+                    assert mu_of_set(t, lat, p, f) == p[i]
 
     def test_monotone_under_inclusion(self, cats3):
         for e in cats3[3].entries:
@@ -58,7 +60,7 @@ class TestCheckPartition:
         for cat in cats3:
             for e in cat.entries:
                 lat = flats(e.table)
-                zero = ExtensiblePartition((0,) * len(lat))
+                zero = (0,) * len(lat)
                 assert check_partition(e.table, zero, lat) is None
 
     def test_verdicts_match_extension_validity(self, two_lines):
@@ -66,19 +68,18 @@ class TestCheckPartition:
         # or fails and induces an invalid table (oracle = validate)
         lat = flats(two_lines)
         for mu in itertools.product(range(3), repeat=4):
-            p = ExtensiblePartition(mu)
-            verdict = check_partition(two_lines, p, lat)
-            ext = extend(two_lines, p, lat, checked=False)
+            verdict = check_partition(two_lines, mu, lat)
+            ext = extend(two_lines, mu, lat, checked=False)
             assert (verdict is None) == (validate(ext) is None), mu
 
     def test_down_closure_violation_reported(self, two_lines):
         # empty flat in M_1 under a flat in M_2 breaks down-closure
-        bad = ExtensiblePartition((1, 2, 1, 0))
+        bad = (1, 2, 1, 0)
         v = check_partition(two_lines, bad)
         assert v is not None and v.condition == "6"
 
     def test_up_closure_violation_reported(self, two_lines):
-        bad = ExtensiblePartition((0, 1, 1, 1))
+        bad = (0, 1, 1, 1)
         v = check_partition(two_lines, bad)
         assert v is not None and v.condition == "7"
 
@@ -102,12 +103,13 @@ class TestCheckPartition:
 class TestEnumerate:
     def test_empty_polymatroid(self):
         parts = enumerate_extensible_partitions(RankTable(0, 2, (0,)))
-        assert [p.mu for p in parts] == [(0,), (1,), (2,)]
+        assert parts.tolist() == [[0], [1], [2]]
 
     def test_single_line(self):
         parts = enumerate_extensible_partitions(RankTable(1, 2, (0, 2)))
-        assert [p.mu for p in parts] == [
-            (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+        assert parts.dtype == np.int8
+        assert parts.tolist() == [
+            [0, 0], [1, 0], [1, 1], [2, 0], [2, 1], [2, 2]]
 
     def test_matches_filter_reference_path(self, cats3):
         for cat in cats3:
@@ -116,13 +118,14 @@ class TestEnumerate:
                 if len(lat) > 12:
                     continue
                 fast = enumerate_extensible_partitions(e.table, lat)
-                slow = enumerate_extensible_partitions(
-                    e.table, lat, method="filter")
-                assert fast == slow, e.table.rho
+                slow = _partitions_by_filter(e.table, lat)
+                assert fast.dtype == slow.dtype
+                assert np.array_equal(fast, slow), e.table.rho
 
     def test_sorted_and_unique(self, cats3):
         for e in cats3[3].entries:
-            mus = [p.mu for p in enumerate_extensible_partitions(e.table)]
+            mus = list(map(tuple, enumerate_extensible_partitions(
+                e.table).tolist()))
             assert mus == sorted(set(mus))
 
     def test_heavy_lattice_pinned(self):
@@ -136,7 +139,7 @@ class TestEnumerate:
         assert len(lat) == 60
         parts = enumerate_extensible_partitions(heavy, lat)
         assert len(parts) == 5480
-        digest = hashlib.sha256(b"".join(bytes(p.mu) for p in parts))
+        digest = hashlib.sha256(parts.tobytes())
         assert digest.hexdigest() == (
             "9ea986d64d3436c66527a0e455c3ac81947bd84e16f2e684f65d0beae7696fca")
         for p in parts[::20]:
@@ -148,13 +151,9 @@ class TestEnumerate:
                       RankTable(1, 100, (0, 70))):
             lat = flats(table)
             fast = enumerate_extensible_partitions(table, lat)
-            slow = enumerate_extensible_partitions(table, lat,
-                                                   method="filter")
-            assert fast == slow and len(fast) > 100
-
-    def test_unknown_method(self, two_lines):
-        with pytest.raises(ValueError):
-            enumerate_extensible_partitions(two_lines, method="guess")
+            slow = _partitions_by_filter(table, lat)
+            assert fast.dtype == slow.dtype == np.int64
+            assert np.array_equal(fast, slow) and len(fast) > 100
 
 
 class TestExtend:
@@ -165,14 +164,14 @@ class TestExtend:
     def test_loop_extension(self, cats3):
         for e in cats3[3].entries:
             lat = flats(e.table)
-            zero = ExtensiblePartition((0,) * len(lat))
+            zero = (0,) * len(lat)
             ext = extend(e.table, zero, lat)
             assert ext.rho[8:] == e.table.rho
             assert ext.rank == e.table.rank
 
     def test_single_line_top_class(self):
         line = RankTable(1, 2, (0, 2))
-        ext = extend(line, ExtensiblePartition((2, 2)))
+        ext = extend(line, (2, 2))
         assert ext.rho == (0, 2, 2, 4)
         assert validate(ext) is None
 
@@ -188,7 +187,25 @@ class TestExtend:
 
     def test_rejects_non_extensible(self, two_lines):
         with pytest.raises(ValueError):
-            extend(two_lines, ExtensiblePartition((0, 1, 1, 1)))
+            extend(two_lines, (0, 1, 1, 1))
+
+    def test_builder_block_matches_single_rows(self, cats3):
+        for e in cats3[3].entries:
+            lat = flats(e.table)
+            rows = enumerate_extensible_partitions(e.table, lat)
+            build = extension_builder(e.table, lat)
+            tables = build(rows)
+            assert tables.dtype == np.uint8
+            assert tables.shape == (len(rows), 16)
+            for mu, table in zip(rows, tables):
+                assert np.array_equal(build(mu), table)
+                assert tuple(table.tolist()) == extend(e.table, mu, lat).rho
+
+    def test_builder_widens_past_one_byte(self):
+        line = RankTable(1, 200, (0, 150))
+        ext = extension_builder(line, flats(line))((200, 150))
+        assert ext.dtype == np.int64
+        assert ext.tolist() == [0, 150, 200, 300]
 
 
 class TestExtensionFlats:
@@ -199,13 +216,13 @@ class TestExtensionFlats:
     def test_loop_extension_augments_every_flat(self, cats3):
         for e in cats3[2].entries:
             lat = flats(e.table)
-            zero = ExtensiblePartition((0,) * len(lat))
+            zero = (0,) * len(lat)
             got = extension_flats(e.table, zero, lat)
             assert got == tuple(sorted(f | 0b100 for f in lat.flats))
 
     def test_empty_parent(self):
         empty = RankTable(0, 2, (0,))
-        assert extension_flats(empty, ExtensiblePartition((2,))) == (0, 1)
+        assert extension_flats(empty, (2,)) == (0, 1)
 
     def test_agrees_with_flats_of_extension(self, cats3):
         for cat in cats3:
@@ -214,7 +231,7 @@ class TestExtensionFlats:
                 for p in enumerate_extensible_partitions(e.table, lat):
                     direct = extension_flats(e.table, p, lat)
                     recomputed = flats(extend(e.table, p, lat)).flats
-                    assert direct == recomputed, (e.table.rho, p.mu)
+                    assert direct == recomputed, (e.table.rho, p)
 
 
 class TestBijection:
@@ -243,7 +260,7 @@ class TestBijection:
                 built = {extend(t, p, lat).rho for p in parts}
                 assert built == {x.rho for x in brute_extensions(t)}
                 for p in parts:
-                    m0 = [lat.flats[i] for i, v in enumerate(p.mu) if v == 0]
+                    m0 = [lat.flats[i] for i, v in enumerate(p) if v == 0]
                     for f in m0:
                         for g in lat.flats:
                             if f & g == f:
@@ -254,7 +271,3 @@ class TestBijection:
                                     == t.rho[f | g] + t.rho[f & g]):
                                 assert f & g in m0  # modular pairs meet
 
-
-class TestSerialization:
-    def test_mu_digit_string(self):
-        assert THREE_LINES_PARTITION.serialize() == "2110"

@@ -24,7 +24,6 @@ from polycat.canon import apply_mask_perm, canonical_bytes, canonical_form
 from polycat.core import MAX_N, flats
 from polycat.extensions import (
     enumerate_extensible_partitions,
-    extensible_rows,
     extension_builder,
 )
 from polycat.gen import (
@@ -45,7 +44,7 @@ def _reference_extensions(parent):
     build = extension_builder(parent, lattice)
     accepted = {}
     for part in parts:
-        cb, _sigma, aut = canonical_bytes(bytes(build(part.mu)), n + 1)
+        cb, _sigma, aut = canonical_bytes(build(part).tobytes(), n + 1)
         deleted, _s, _a = canonical_bytes(cb[:1 << n], n)
         if deleted == bytes(parent.rho):
             accepted[cb] = aut
@@ -66,8 +65,8 @@ def _brute_orbit_minima(parent):
                for m in range(1 << n)):
             acts.add(tuple(index[apply_mask_perm(f, p)] for f in fl))
     minima = set()
-    for part in enumerate_extensible_partitions(parent):
-        minima.add(min(tuple(part.mu[j] for j in a) for a in acts))
+    for part in enumerate_extensible_partitions(parent).tolist():
+        minima.add(min(tuple(part[j] for j in a) for a in acts))
     return sorted(minima), acts
 
 
@@ -171,8 +170,8 @@ class TestGeneration:
             minima, brute_acts = _brute_orbit_minima(parent)
             identity = tuple(range(len(lattice)))
             assert set(map(tuple, acts.tolist())) == brute_acts - {identity}
-            reps = orbit_representatives(extensible_rows(parent, lattice),
-                                         acts)
+            rows = enumerate_extensible_partitions(parent, lattice)
+            reps = orbit_representatives(rows, acts)
             assert list(map(tuple, reps.tolist())) == minima
 
     def test_fold_keeps_every_row_without_automorphisms(self, cats5):
@@ -181,14 +180,14 @@ class TestGeneration:
         for e in plain[::25]:
             lattice = flats(e.table)
             acts = flat_automorphisms(e.table, lattice)
-            rows = extensible_rows(e.table, lattice)
+            rows = enumerate_extensible_partitions(e.table, lattice)
             assert len(acts) == 0
             assert np.array_equal(orbit_representatives(rows, acts), rows)
 
     def test_fold_pinned(self, cats5):
         entry = cats5[5].entries[2370]
         lattice = flats(entry.table)
-        rows = extensible_rows(entry.table, lattice)
+        rows = enumerate_extensible_partitions(entry.table, lattice)
         reps = orbit_representatives(rows,
                                      flat_automorphisms(entry.table, lattice))
         assert (entry.aut_order, len(lattice)) == (120, 27)

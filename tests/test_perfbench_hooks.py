@@ -37,3 +37,20 @@ def test_traced_generation_matches_untraced(tracing, cats5, tmp_path):
     assert len(parents) == 2 * len(cats5[2])
     metrics = tracing.layer_metrics(tracer.spans, 1.0)
     assert metrics["gen.accepted"] == 2 * len(cats5[3])
+
+
+def test_traced_generation_records_partition_layers(tracing, cats5):
+    with tracing.Tracer() as tracer:
+        _nxt, stats = gen.generate_next(cats5[2])
+    spans = tracer.spans
+    parents = [i for i, s in enumerate(spans)
+               if s[tracing.NAME] == "gen.parent"]
+    enumerated = [s for s in spans if s[tracing.NAME] ==
+                  "extensions.enumerate"]
+    assert len(parents) == len(cats5[2])
+    assert sorted(s[tracing.PARENT] for s in enumerated) == parents
+    assert sum(s[tracing.INFO] for s in enumerated) == stats.partitions > 0
+    builds = [s for s in spans if s[tracing.NAME] == "extensions.build"]
+    assert {s[tracing.PARENT] for s in builds} >= set(parents)
+    metrics = tracing.layer_metrics(spans, 1.0)
+    assert metrics["extensions.partitions"] == stats.partitions
