@@ -89,8 +89,18 @@ def cmd_count(args):
 
 
 def cmd_verify(args):
-    cats = [c for c in _load_catalogs(args.indir)
-            if c.n <= args.n and c.k == args.k]
+    # read only the catalogs checked, so that other files in the
+    # directory, however large or malformed, play no part
+    cats = []
+    for n in range(args.n + 1):
+        path = _catalog_path(args.indir, n, args.k)
+        if os.path.exists(path):
+            cats.append(gen.read_catalog(path))
+            if (cats[-1].n, cats[-1].k) != (n, args.k):
+                raise ValueError(f"{path}: header disagrees with the name")
+    if not cats:
+        raise FileNotFoundError(
+            f"no k={args.k} catalog files for n <= {args.n} in {args.indir}")
     report = oracle.cross_check(cats, n_max=args.n)
     sys.stdout.write(report.as_text())
     if not report.ok:

@@ -7,15 +7,13 @@ All types here are immutable; every operation returns a new object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 # canonical labeling compares relabelings as uint8 gathers of n! rows;
 # n = 8 is the last size where that table stays small (10 MB)
 MAX_N = 8
-
-
-def popcount(m: int) -> int:
-    return m.bit_count()
 
 
 def bits_of(m: int):
@@ -73,23 +71,19 @@ class Violation:
 
 @dataclass(frozen=True)
 class FlatLattice:
-    """Flats of a polymatroid with ranks and the cover relation.
+    """Flats of a polymatroid with ranks, the cover relation and the
+    closure of every subset.
 
     flats is sorted ascending by bitmask; rank_of is parallel to flats;
-    covers[i] lists the masks of flats covering flats[i].
+    covers[i] lists the masks of flats covering flats[i]; closure is a
+    read-only intp array whose entry x is the index in flats of cl(X),
+    for every bitmask x.  Equality and hashing use the tuples only.
     """
 
     flats: tuple
     rank_of: tuple
     covers: tuple
-
-    def index(self, mask: int) -> int:
-        import bisect
-
-        i = bisect.bisect_left(self.flats, mask)
-        if i == len(self.flats) or self.flats[i] != mask:
-            raise KeyError(f"mask {mask} is not a flat")
-        return i
+    closure: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.flats)
@@ -138,19 +132,27 @@ def closure(table: RankTable, x: int) -> int:
 
 
 def flats(table: RankTable) -> FlatLattice:
-    """All flats with their ranks and the cover relation (transitive
-    reduction of inclusion)."""
-    fl = [m for m in range(1 << table.n) if closure(table, m) == m]
-    ranks = tuple(table.rho[m] for m in fl)
-    covers = []
-    for f in fl:
-        above = [g for g in fl if f != g and f & g == f]
-        covs = []
-        for g in above:
-            if not any(h != g and h & g == h for h in above):
-                covs.append(g)
-        covers.append(tuple(covs))
-    return FlatLattice(tuple(fl), ranks, tuple(covers))
+    """All flats with their ranks, the cover relation (transitive
+    reduction of inclusion) and the closure index of every subset."""
+    rho = np.array(table.rho)
+    masks = np.arange(1 << table.n)
+    bits = 1 << np.arange(table.n)
+    # cl(X) is X with every element whose addition keeps rho(X); the
+    # bits are distinct, so summing them ORs them in
+    cl = masks | (rho[masks[:, None] | bits] == rho[:, None]) @ bits
+    fl = np.flatnonzero(cl == masks)
+    index = np.searchsorted(fl, cl)
+    index.flags.writeable = False
+    # inside[i, j]: flat i lies strictly inside flat j; j covers i when
+    # no flat lies strictly between them
+    inside = (fl[:, None] & fl) == fl[:, None]
+    np.fill_diagonal(inside, False)
+    below, above = np.nonzero(inside & (inside @ inside == 0))
+    covers = [[] for _ in fl]
+    for i, g in zip(below.tolist(), fl[above].tolist()):
+        covers[i].append(g)
+    return FlatLattice(tuple(fl.tolist()), tuple(rho[fl].tolist()),
+                       tuple(map(tuple, covers)), index)
 
 
 def modular_defect(table: RankTable, x: int, y: int) -> int:
@@ -164,21 +166,14 @@ def k_dual(table: RankTable) -> RankTable:
     rho = table.rho
     full = table.full
     r = rho[full]
-    dual = tuple(
-        table.k * popcount(m) + rho[full ^ m] - r for m in range(1 << table.n)
-    )
+    dual = tuple(table.k * m.bit_count() + rho[full ^ m] - r
+                 for m in range(1 << table.n))
     return RankTable(table.n, table.k, dual)
 
 
-def _shrink_mask(m: int, bit: int) -> int:
-    """Remove `bit` from mask m and shift higher bits down by one."""
-    low = m & ((1 << bit) - 1)
-    high = m >> (bit + 1)
-    return low | (high << bit)
-
-
 def _expand_mask(m: int, bit: int) -> int:
-    """Inverse of _shrink_mask (without setting `bit`)."""
+    """Shift the bits of mask m from `bit` up by one, leaving `bit`
+    clear."""
     low = m & ((1 << bit) - 1)
     high = m >> bit
     return low | (high << (bit + 1))

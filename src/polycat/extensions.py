@@ -2,10 +2,13 @@
 
 A partition assigns every flat F a class mu(F) in {0, ..., k} (empty
 classes allowed); the extension is rho_ext(X|e) = rho(X) + mu(cl(X)).
-A partition is a mu-vector aligned with the sorted flats: a plain
-sequence, or one row of a numpy array.  Valid assignments are
-characterized by three conditions on flat pairs; for k=2 an equivalent
-list of seven conditions is reported by check_partition for diagnostics.
+Every function here reads cl(X) from the lattice's closure index
+(FlatLattice.closure, made once per parent by core.flats) and computes
+no closure itself.  A partition is a mu-vector aligned with the sorted
+flats: a plain sequence, or one row of a numpy array.  Valid
+assignments are characterized by three conditions on flat pairs; for
+k=2 an equivalent list of seven conditions is reported by
+check_partition for diagnostics.
 
 enumerate_extensible_partitions assigns the flats supersets-first, one
 numpy pass per flat over a frontier of all partial assignments, and
@@ -24,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FlatLattice,
-    RankTable,
-    closure,
-    flats,
-    modular_defect,
-)
+from .core import FlatLattice, RankTable, flats, modular_defect
 
 
 @dataclass(frozen=True)
@@ -41,14 +38,14 @@ class ConditionViolation:
 
 def mu_of_set(parent: RankTable, lattice: FlatLattice, mu, x: int) -> int:
     """Class of an arbitrary subset: mu read at its closure."""
-    return mu[lattice.index(closure(parent, x))]
+    return mu[lattice.closure[x]]
 
 
 def _check_general(parent: RankTable, lattice: FlatLattice, mu):
     """Conditions (I)-(III) for any k."""
     fl = lattice.flats
+    cl = lattice.closure
     m = len(fl)
-    idx = {f: i for i, f in enumerate(fl)}
     rho = parent.rho
     for i in range(m):
         for j in range(m):
@@ -61,10 +58,8 @@ def _check_general(parent: RankTable, lattice: FlatLattice, mu):
     for i in range(m):
         for j in range(i + 1, m):
             f, g = fl[i], fl[j]
-            meet = idx[f & g]
-            join = idx[closure(parent, f | g)]
             d = modular_defect(parent, f, g)
-            if mu[meet] + mu[join] - d > mu[i] + mu[j]:
+            if mu[cl[f & g]] + mu[cl[f | g]] - d > mu[i] + mu[j]:
                 return ConditionViolation("I", (f, g))
     return None
 
@@ -73,8 +68,8 @@ def _check_seven(parent: RankTable, lattice: FlatLattice, mu):
     """The seven-condition specialization for k=2, with per-condition
     diagnostics."""
     fl = lattice.flats
+    cl = lattice.closure
     m = len(fl)
-    idx = {f: i for i, f in enumerate(fl)}
     rho = parent.rho
     # (6), (7): M_2 down-closed, M_0 up-closed; (1): no rank+1 flat above
     # an M_2 member may sit in M_0.
@@ -93,8 +88,8 @@ def _check_seven(parent: RankTable, lattice: FlatLattice, mu):
         for j in range(i + 1, m):
             f, g = fl[i], fl[j]
             d = modular_defect(parent, f, g)
-            meet = mu[idx[f & g]]
-            join = mu[idx[closure(parent, f | g)]]
+            meet = mu[cl[f & g]]
+            join = mu[cl[f | g]]
             a, b = mu[i], mu[j]
             if a == 0 and b == 0:
                 if d == 0 and meet != 0:
@@ -126,12 +121,6 @@ def check_partition(parent: RankTable, mu, lattice: FlatLattice | None = None):
     return _check_general(parent, lattice, mu)
 
 
-def _search_order(lattice: FlatLattice):
-    """Flat indices, supersets before subsets (popcount descending)."""
-    return sorted(range(len(lattice)),
-                  key=lambda i: -lattice.flats[i].bit_count())
-
-
 def _flat_tables(parent: RankTable, lattice: FlatLattice, dtype):
     """What assigning each flat a decides, in search order.
 
@@ -142,12 +131,13 @@ def _flat_tables(parent: RankTable, lattice: FlatLattice, dtype):
     the modular defect as arrays, with the distinct meets (as positions
     in the subset array, since a meet is a subset of a) and the start of
     each meet's run."""
-    order = _search_order(lattice)
     fl = np.array(lattice.flats, np.intp)
     m = len(fl)
+    # supersets before subsets
+    order = sorted(range(m), key=lambda i: -lattice.flats[i].bit_count())
     rho = np.array(parent.rho, np.int64)
     rho_fl = rho[fl]
-    cl_idx = closure_flats(parent, lattice)
+    cl_idx = lattice.closure
     pos = np.empty(m, np.intp)
     pos[order] = np.arange(m)
     meet = fl[:, None] & fl
@@ -258,16 +248,6 @@ def _partitions_by_filter(parent: RankTable, lattice: FlatLattice):
     return np.array(rows, _row_dtype(parent)).reshape(-1, len(lattice))
 
 
-def closure_flats(parent: RankTable, lattice: FlatLattice):
-    """For every mask X, the index of its closure cl(X) in the sorted
-    flat list, as an intp array."""
-    # the closure of a mask is the smallest flat containing it
-    fl = np.array(lattice.flats, np.intp)
-    masks = np.arange(1 << parent.n)[:, None]
-    size = np.array([f.bit_count() for f in lattice.flats])
-    return np.where((masks & fl) == masks, size, parent.n + 1).argmin(1)
-
-
 def extension_builder(parent: RankTable, lattice: FlatLattice):
     """A function build(rows) for repeated use on one parent: it maps a
     mu-vector to the extension's rank table [rho | rho + mu[cl(X)]], and
@@ -275,7 +255,7 @@ def extension_builder(parent: RankTable, lattice: FlatLattice):
     when k(n+1) <= 255 and of int64 otherwise."""
     dtype = np.uint8 if parent.k * (parent.n + 1) <= 255 else np.int64
     rho = np.array(parent.rho, dtype)
-    cl_idx = closure_flats(parent, lattice)
+    cl_idx = lattice.closure
 
     def build(rows):
         rows = np.asarray(rows)
@@ -317,13 +297,13 @@ def extension_flats(parent: RankTable, mu,
     _require_extensible(parent, mu, lattice)
     rho = parent.rho
     e_bit = 1 << parent.n
-    idx = {f: i for i, f in enumerate(lattice.flats)}
+    cl = lattice.closure
     out = []
     for i, f in enumerate(lattice.flats):
         if mu[i] > 0:
             out.append(f)
             tight = any(
-                rho[f] + mu[i] == rho[g] + mu[idx[g]]
+                rho[f] + mu[i] == rho[g] + mu[cl[g]]
                 for g in lattice.covers[i]
             )
             if not tight:

@@ -117,11 +117,8 @@ def flat_automorphisms(parent: RankTable, lattice):
     automorphisms that fix every flat are left out, and each action
     appears once.  The parent must be canonical."""
     auts = canon.automorphisms(bytes(parent.rho), parent.n)
-    fl = np.array(lattice.flats, np.intp)
-    index = np.empty(1 << parent.n, np.intp)
-    index[fl] = np.arange(len(fl))
-    acts = np.unique(index[auts[:, fl]], axis=0)
-    return acts[(acts != np.arange(len(fl))).any(axis=1)]
+    acts = np.unique(lattice.closure[auts[:, lattice.flats]], axis=0)
+    return acts[(acts != np.arange(len(lattice))).any(axis=1)]
 
 
 def orbit_representatives(rows, acts):
@@ -217,8 +214,11 @@ def _blocks(xn: Catalog, jobs: int):
     if jobs <= 1 or len(rhos) < 4:
         yield from map(_worker, tasks)
         return
+    # a pool task returns its blocks' results at once, so batch only
+    # one-parent blocks (under 1024 parents, small results), ~8 per worker
+    chunksize = max(1, len(tasks) // (8 * jobs)) if chunk == 1 else 1
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_worker, tasks)
+        yield from pool.map(_worker, tasks, chunksize=chunksize)
 
 
 def generate_next(xn: Catalog, jobs: int = 1):

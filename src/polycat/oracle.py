@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import RankTable, popcount
+from .core import RankTable
 
 
 def _bounds(rho, m, n, k):
     """Feasible [lo, hi] for rho[m] once every proper subset is fixed:
     monotone steps from below, step cap and local submodularity from
     above, and the k|m| cardinality cap."""
-    lo, hi = 0, k * popcount(m)
+    lo, hi = 0, k * m.bit_count()
     sub = m
     singles = []
     while sub:
@@ -74,7 +74,7 @@ def brute_labeled_count(n: int, k: int, order: str = "forward"):
         masks = list(range(1, size))
     elif order == "reversed":
         # any order with subsets before supersets is admissible
-        masks = sorted(range(1, size), key=lambda m: (popcount(m), -m))
+        masks = sorted(range(1, size), key=lambda m: (m.bit_count(), -m))
     else:
         raise ValueError(f"unknown order {order!r}")
     per_rank = [0] * (k * n + 1)
@@ -92,7 +92,7 @@ def brute_extensions(parent: RankTable):
     the same depth-first constraint search with the parent half fixed."""
     n, k = parent.n, parent.k
     half = 1 << n
-    masks = sorted((m | half for m in range(half)), key=popcount)
+    masks = sorted((m | half for m in range(half)), key=int.bit_count)
     out = []
 
     def leaf(rho):
@@ -180,7 +180,7 @@ def _brute_class_count(n: int, k: int) -> int:
     canonical labeling (no canonical-deletion logic involved)."""
     from . import canon
 
-    masks = sorted(range(1, 1 << n), key=popcount)
+    masks = sorted(range(1, 1 << n), key=int.bit_count)
     seen = set()
 
     def leaf(rho):

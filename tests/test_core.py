@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from polycat import (
@@ -180,6 +181,22 @@ class TestFlats:
                     )
                 ]
                 assert sorted(lat.covers[i]) == sorted(expected)
+
+
+class TestClosureIndex:
+    def test_matches_scalar_closure(self, cats5):
+        tables = [e.table for cat in cats5[:5] for e in cat.entries]
+        tables += [e.table for e in cats5[5].entries[::7]]
+        for t in tables:
+            lat = flats(t)
+            assert lat.closure.shape == (1 << t.n,)
+            assert lat.closure.dtype == np.intp
+            assert lat.closure.tolist() == [
+                lat.flats.index(closure(t, x)) for x in range(1 << t.n)]
+
+    def test_equality_and_hash_ignore_the_index(self, three_lines):
+        assert flats(three_lines) == flats(three_lines)
+        assert hash(flats(three_lines)) == hash(flats(three_lines))
 
 
 class TestModularDefect:

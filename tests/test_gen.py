@@ -130,6 +130,33 @@ class TestGeneration:
         assert nxt.entries == cats5[4].entries
         assert stats.canonical == generate_next(cats5[3])[1].canonical
 
+    def test_pool_batches_only_one_parent_blocks(self, cats5, monkeypatch):
+        # a pool task returns its blocks' results at once, so steps with
+        # multi-parent blocks (over 1024 parents) send one block per task
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                seen.append((max(len(t[1]) for t in tasks), chunksize))
+                return iter(())
+
+        monkeypatch.setattr(gen, "ProcessPoolExecutor", Pool)
+        for cat in (cats5[4], cats5[5]):
+            list(gen._blocks(cat, 2))
+        # X_4's 228 parents go in one-parent blocks, 14 to a task; X_5's
+        # 2380 go in blocks of 3, one to a task
+        assert seen[0] == (1, 228 // 16)
+        assert seen[1] == (3, 1)
+
     def test_failure_propagates_from_generate_next(self, cats5,
                                                    monkeypatch):
         real = gen._worker
