@@ -3,13 +3,15 @@ deletion.
 
 Each parent in the catalog X_n is extended by every extensible partition;
 an extension is accepted iff deleting the last element of its canonical
-labeling reproduces the parent exactly.  Partitions in one orbit of the
-parent's automorphism group give isomorphic extensions, so only the
-lex-min partition of each orbit is built and labeled.  A parent's
-partitions are the rows of one numpy array
-(extensions.enumerate_extensible_partitions); the prefilter and the fold
-select rows, and extensions.extension_builder turns each block of rows
-into extension tables at once.  Extensions of distinct parents are never
+labeling reproduces the parent exactly, that is, iff its canonical form
+starts with the parent's table.  Partitions in one orbit of the parent's
+automorphism group give isomorphic extensions, so only the lex-min
+partition of each orbit is built and decided.  A parent's partitions are
+the rows of one numpy array (extensions.enumerate_extensible_partitions);
+the prefilter and the fold select rows, extensions.extension_builder
+turns each block of rows into extension tables at once, and
+canon.anchored_forms decides the whole block in one search, labeling
+only the accepted rows.  Extensions of distinct parents are never
 compared, so the outer loop parallelizes with no shared state.
 
 One runner, _blocks, cuts the parents into blocks and runs them in
@@ -40,14 +42,18 @@ from .core import MAX_N, RankTable, flats, k_dual, min_element_rank
 from .extensions import enumerate_extensible_partitions, extension_builder
 
 # Partition rows folded and built at a time in extensions_of_parent, so
-# that its temporaries stay a few MB on parents with millions of rows.
+# that a parent with millions of rows holds one block's tables at once
+# (_BLOCK * 2^(n+1) bytes, 8 MB for n=6 parents).  canon.anchored_forms
+# splits its search of a block further, by its own fixed budget of table
+# entries (canon._SEARCH_ENTRIES).
 _BLOCK = 1 << 16
 # Shard files merged at once by generate_next_stream.
 _FAN_IN = 64
-# canonical_bytes calls made by extensions_of_parent in this process.
-# _worker takes the difference around its own parents; a counter is used
-# because extensions_of_parent keeps its (accepted, partitions) result,
-# which perfbench's tracer unpacks.
+# Orbit representatives decided by extensions_of_parent in this process
+# (one per Aut(parent)-orbit passing the prefilter; no canonical_bytes
+# call is made for them).  _worker takes the difference around its own
+# parents; a counter is used because extensions_of_parent keeps its
+# (accepted, partitions) result, which perfbench's tracer unpacks.
 _canonical_calls = 0
 
 
@@ -93,7 +99,7 @@ class GenerationStats:
     accepted: int = 0
     rejected: int = 0
     wall_time: float = 0.0
-    canonical: int = 0  # canonical_bytes calls, one per labeled orbit
+    canonical: int = 0  # orbit representatives decided, one per orbit
 
     def merge(self, other):
         self.parents += other.parents
@@ -142,7 +148,7 @@ def extensions_of_parent(parent: RankTable):
     """Accepted canonical extensions of one parent, sorted, plus the
     number of partitions tried.  The parent must itself be canonical.
 
-    Only one partition per orbit of Aut(parent) is labeled.  An
+    Only one partition per orbit of Aut(parent) is decided.  An
     automorphism g of the parent, extended to the new element e by
     fixing it, relabels ext(mu o g) into ext(mu), since
     rho(gX) + mu(cl gX) = rho(X) + (mu o g)(cl X); so a whole orbit
@@ -151,7 +157,6 @@ def extensions_of_parent(parent: RankTable):
     n = parent.n
     if parent.k * (n + 1) > 255:
         raise ValueError("extension ranks must fit in one byte")
-    half = 1 << n
     lattice = flats(parent)
     rows = enumerate_extensible_partitions(parent, lattice)
     parent_bytes = bytes(parent.rho)
@@ -165,23 +170,19 @@ def extensions_of_parent(parent: RankTable):
     # every automorphism fixes, so the test keeps or drops whole orbits.
     top = max(parent.rho[1 << j] for j in range(n)) if n else 0
     accepted = {}
-    size = 2 * half
     for i in range(0, len(rows), _BLOCK):
         block = rows[i:i + _BLOCK]
         block = orbit_representatives(block[block[:, 0] >= top], acts)
-        buf = build(block).tobytes()
         _canonical_calls += len(block)
-        for j in range(0, len(buf), size):
-            cb, _sigma, aut = canon.canonical_bytes(buf[j:j + size], n + 1)
-            # element n+1 is the top bit, so deleting it from the
-            # canonical labeling leaves the first half of the table;
-            # that half is already lex-min among the relabelings of the
-            # deletion, because the full sequence minimizes its first
-            # half before the rest
-            if cb[:half] == parent_bytes:
-                accepted[cb] = aut
-    out = sorted(accepted.items())
-    return [(tuple(cb), aut) for cb, aut in out], len(rows)
+        # element n+1 is the top bit, so deleting it from the canonical
+        # labeling leaves the first half of the table; that half is
+        # already lex-min among the relabelings of the deletion, because
+        # the full sequence minimizes its first half before the rest.  So
+        # the accepted extensions are those whose canonical form starts
+        # with the parent; isomorphic ones share their form and aut.
+        forms, auts = canon.anchored_forms(build(block), parent_bytes)
+        accepted.update(zip(map(tuple, forms.tolist()), auts.tolist()))
+    return sorted(accepted.items()), len(rows)
 
 
 def _worker(args):

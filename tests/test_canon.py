@@ -10,6 +10,7 @@ import pytest
 from polycat import RankTable, flats, k_dual
 from polycat.canon import (
     _SLICE_ROWS,
+    anchored_forms,
     apply_mask_perm,
     canonical_form,
     flat_graph,
@@ -132,6 +133,22 @@ class TestIsomorphic:
 
     def test_different_sizes(self, two_lines, three_lines):
         assert not isomorphic(two_lines, three_lines)
+
+
+class TestAnchoredForms:
+    def test_rejects_rows_not_extending_the_parent(self, two_lines):
+        lattice = flats(two_lines)
+        rows = enumerate_extensible_partitions(two_lines, lattice)
+        tables = extension_builder(two_lines, lattice)(rows)
+        parent = bytes(two_lines.rho)
+        forms, aut = anchored_forms(tables, parent)
+        assert len(forms) == len(aut) > 0
+        other = tables.copy()
+        other[-1, 1] += 1
+        for bad in (tables.astype(np.int64), tables[:, :4], tables[0],
+                    other):
+            with pytest.raises(ValueError):
+                anchored_forms(bad, parent)
 
 
 class TestLabeledCount:

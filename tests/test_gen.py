@@ -11,6 +11,7 @@ import polycat
 from polycat import (
     RankTable,
     base_catalog,
+    canon,
     count_table,
     duality_check,
     enumerate_all,
@@ -68,6 +69,22 @@ def _brute_orbit_minima(parent):
     for part in enumerate_extensible_partitions(parent).tolist():
         minima.add(min(tuple(part[j] for j in a) for a in acts))
     return sorted(minima), acts
+
+
+@pytest.fixture(scope="module")
+def reference_parents(cats5):
+    """Every X_0..X_4 entry, every 40th X_5 entry, and n=6 parents with
+    Aut of order 48 to 720, where the fold leaves one partition in
+    several dozen: the canonical extensions of two X_5 entries with Aut
+    of order 120."""
+    parents = [e.table for cat in cats5[:5] for e in cat.entries]
+    parents += [e.table for e in cats5[5].entries[::40]]
+    heavy = []
+    for i in (421, 1684):
+        acc, _ = extensions_of_parent(cats5[5].entries[i].table)
+        heavy += [RankTable(6, 2, rho) for rho, aut in acc if aut >= 48]
+    assert len(heavy) == 9
+    return parents + heavy
 
 
 class TestGeneration:
@@ -173,20 +190,41 @@ class TestGeneration:
             generate_next(cats5[3])
         assert len(calls) == 2
 
-    def test_acceptance_matches_reference_rule(self, cats5):
-        parents = [e.table for cat in cats5[:5] for e in cat.entries]
-        parents += [e.table for e in cats5[5].entries[::40]]
-        # n=6 parents with Aut of order 48 to 720, where the fold leaves
-        # one partition in several dozen: the canonical extensions of two
-        # X_5 entries with Aut of order 120
-        heavy = []
-        for i in (421, 1684):
-            acc, _ = extensions_of_parent(cats5[5].entries[i].table)
-            heavy += [RankTable(6, 2, rho) for rho, aut in acc if aut >= 48]
-        assert len(heavy) == 9
-        for parent in parents + heavy:
+    def test_acceptance_matches_reference_rule(self, reference_parents):
+        for parent in reference_parents:
             assert extensions_of_parent(parent) == \
                 _reference_extensions(parent)
+
+    def test_anchored_forms_match_canonical_bytes(self, reference_parents,
+                                                  monkeypatch):
+        # every orbit-representative row, before the prefilter, so that
+        # rows rejected by singleton ranks are decided too
+        blocks = []
+        for parent in reference_parents:
+            lattice = flats(parent)
+            rows = orbit_representatives(
+                enumerate_extensible_partitions(parent, lattice),
+                flat_automorphisms(parent, lattice))
+            tables = extension_builder(parent, lattice)(rows)
+            half, pb = 1 << parent.n, bytes(parent.rho)
+            expect = []
+            for table in tables:
+                cb, _sigma, aut = canonical_bytes(table.tobytes(),
+                                                  parent.n + 1)
+                if cb[:half] == pb:
+                    expect.append((cb, aut))
+            blocks.append((tables, pb, expect))
+        assert {len(pb) for _t, pb, _e in blocks} == {1, 2, 4, 8, 16, 32, 64}
+        assert sum(len(e) for _t, _pb, e in blocks) < \
+            sum(len(t) for t, _pb, _e in blocks)
+        # the module's budget, then one so small that every level of a
+        # block with two rows or more is split between its rows
+        for budget in (canon._SEARCH_ENTRIES, 1):
+            monkeypatch.setattr(canon, "_SEARCH_ENTRIES", budget)
+            for tables, pb, expect in blocks:
+                forms, aut = canon.anchored_forms(tables, pb)
+                assert forms.dtype == np.uint8
+                assert list(zip(map(bytes, forms), aut.tolist())) == expect
 
     def test_fold_keeps_one_row_per_orbit(self, cats5):
         parents = [e.table for e in cats5[4].entries if e.aut_order > 1]

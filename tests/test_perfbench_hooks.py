@@ -1,6 +1,7 @@
-"""perfbench's tracer patches polycat names by attribute; these tests
-keep those names and the results it unpacks in place, since perfbench's
-own tests are run separately."""
+"""perfbench's tracer patches polycat names by attribute, and its
+workloads check their outputs against pinned counts; these tests keep
+those names, the results the tracer unpacks and the workloads' output
+checks in place, since perfbench's own tests are run separately."""
 
 from pathlib import Path
 
@@ -54,3 +55,22 @@ def test_traced_generation_records_partition_layers(tracing, cats5):
     assert {s[tracing.PARENT] for s in builds} >= set(parents)
     metrics = tracing.layer_metrics(spans, 1.0)
     assert metrics["extensions.partitions"] == stats.partitions
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    return workloads
+
+
+@pytest.mark.parametrize("name", ["step6_stride", "step7_stream"])
+def test_benchmark_output_checks_hold(workloads, name, tmp_path):
+    # one frozen group, one pass: the per-group pins (partitions,
+    # accepted) and the canonical-deletion checks the benchmark asserts
+    wl = workloads.WORKLOADS[name](frozen=workloads.load_frozen())
+    inp = wl.setup(0)
+    outs = [unit() for unit in wl.units(inp, 1, tmp_path)]
+    checks = wl.check(inp, outs)
+    assert len(checks) > 5
+    assert [c for c, ok in checks if not ok] == []
