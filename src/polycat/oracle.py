@@ -1,65 +1,78 @@
 """Independent brute-force verification of the catalogs.
 
-One depth-first search, _search, assigns rank-table entries subsets
-first, pruning with the local submodular inequalities, the monotone step
-bounds, and the cardinality cap.  Its callers give only the order of the
-masks and what to do with each complete table: count labeled tables by
-rank, collect the extensions of a fixed parent, or collect canonical
-forms to count classes.  Nothing here shares logic with the
-canonical-deletion generator beyond the core table type.
+One search, _search, assigns rank-table entries subsets first, pruning
+with the local submodular inequalities, the monotone step bounds and
+the cardinality cap.  It holds every partial table as a row of one
+numpy array and assigns one mask per level for all rows at once; a
+level that would hold more than _SEARCH_ENTRIES table entries is split
+between rows, and each half is finished before the next, so the
+complete tables come out in depth-first, lexicographic order.  Its
+callers give only the order of the masks and what to do with each block
+of complete tables: count labeled tables by rank, collect the
+extensions of a fixed parent, or collect canonical forms to count
+classes.  Nothing here shares logic with the canonical-deletion
+generator beyond the core table type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .core import RankTable
 
+# Table entries one level of _search holds at once; a frontier whose
+# children would exceed it is halved, and each half finished before the
+# next.  A single row is never split: it has at most k + 1 children.
+_SEARCH_ENTRIES = 1 << 16
 
-def _bounds(rho, m, n, k):
-    """Feasible [lo, hi] for rho[m] once every proper subset is fixed:
-    monotone steps from below, step cap and local submodularity from
-    above, and the k|m| cardinality cap."""
-    lo, hi = 0, k * m.bit_count()
-    sub = m
-    singles = []
-    while sub:
-        b = sub & -sub
-        singles.append(b)
-        sub ^= b
-    for f in singles:
-        v = rho[m ^ f]
-        if v > lo:
-            lo = v
-        cap = v + k
-        if cap < hi:
-            hi = cap
-    for i, f in enumerate(singles):
-        for g in singles[i + 1:]:
-            cap = rho[m ^ f] + rho[m ^ g] - rho[m ^ f ^ g]
-            if cap < hi:
-                hi = cap
-    return lo, hi
+
+@lru_cache(maxsize=None)
+def _mask_gathers(m):
+    """Index arrays for the bounds of rho[m]: the sets m - f for each
+    element f of m, and m - f, m - g, m - f - g for each pair f < g."""
+    singles = [1 << b for b in range(m.bit_length()) if m >> b & 1]
+    pairs = [(f, g) for i, f in enumerate(singles) for g in singles[i + 1:]]
+    return (np.array([m ^ f for f in singles], dtype=np.intp),
+            np.array([[m ^ f, m ^ g, m ^ f ^ g] for f, g in pairs],
+                     dtype=np.intp).reshape(-1, 3).T)
 
 
 def _search(rho, masks, n, k, leaf):
-    """Assign rho[m] for the masks in order, depth first, over every
-    value _bounds allows, and call leaf(rho) on each complete table.
+    """Assign rho[m] for the masks in order, over every value the
+    monotone, step, cardinality and local submodular bounds allow, and
+    call leaf(rows) on each block of complete tables, one table per row.
     Every proper subset of a mask must be fixed in rho or come earlier
-    in masks."""
-    last = len(masks)
-
-    def assign(i):
-        if i == last:
-            leaf(rho)
-            return
-        m = masks[i]
-        lo, hi = _bounds(rho, m, n, k)
-        for v in range(lo, hi + 1):
-            rho[m] = v
-            assign(i + 1)
-
-    assign(0)
+    in masks.  Blocks arrive in depth-first, lexicographic order."""
+    dtype = np.int16 if 2 * k * n < 1 << 15 else np.int64
+    size = len(rho)
+    plan = [(m, k * m.bit_count(), *_mask_gathers(m)) for m in masks]
+    stack = [(np.array([rho], dtype=dtype), 0)]
+    while stack:
+        rows, start = stack.pop()
+        for level in range(start, len(plan)):
+            m, cap, subs, (a, b, ab) = plan[level]
+            below = rows[:, subs]
+            lo = below.max(axis=1)
+            hi = np.minimum(below.min(axis=1) + k, cap)
+            if len(ab):
+                hi = np.minimum(
+                    hi, (rows[:, a] + rows[:, b] - rows[:, ab]).min(axis=1))
+            width = np.maximum(hi - lo + 1, 0)
+            while len(rows) > 1 and width.sum() * size > _SEARCH_ENTRIES:
+                half = len(rows) // 2
+                stack.append((rows[half:], level))
+                rows, lo, width = rows[:half], lo[:half], width[:half]
+            rows = np.repeat(rows, width, axis=0)
+            if not len(rows):
+                break
+            # child j of a row takes lo + j
+            first = np.cumsum(width) - width
+            rows[:, m] = np.repeat(lo - first, width) + np.arange(len(rows))
+        else:
+            leaf(rows)
 
 
 def brute_labeled_count(n: int, k: int, order: str = "forward"):
@@ -77,26 +90,26 @@ def brute_labeled_count(n: int, k: int, order: str = "forward"):
         masks = sorted(range(1, size), key=lambda m: (m.bit_count(), -m))
     else:
         raise ValueError(f"unknown order {order!r}")
-    per_rank = [0] * (k * n + 1)
+    per_rank = np.zeros(k * n + 1, dtype=np.int64)
     full = size - 1
 
-    def leaf(rho):
-        per_rank[rho[full]] += 1
+    def leaf(rows):
+        per_rank[:] += np.bincount(rows[:, full], minlength=len(per_rank))
 
     _search([0] * size, masks, n, k, leaf)
-    return sum(per_rank), per_rank
+    return int(per_rank.sum()), per_rank.tolist()
 
 
 def brute_extensions(parent: RankTable):
     """All valid single-element extension tables of a labeled parent, by
-    the same depth-first constraint search with the parent half fixed."""
+    the same constraint search with the parent half fixed."""
     n, k = parent.n, parent.k
     half = 1 << n
     masks = sorted((m | half for m in range(half)), key=int.bit_count)
     out = []
 
-    def leaf(rho):
-        out.append(RankTable(n + 1, k, tuple(rho)))
+    def leaf(rows):
+        out.extend(RankTable(n + 1, k, tuple(r)) for r in rows.tolist())
 
     _search(list(parent.rho) + [0] * half, masks, n + 1, k, leaf)
     return out
@@ -183,8 +196,9 @@ def _brute_class_count(n: int, k: int) -> int:
     masks = sorted(range(1, 1 << n), key=int.bit_count)
     seen = set()
 
-    def leaf(rho):
-        seen.add(canon.canonical_bytes(bytes(rho), n)[0])
+    def leaf(rows):
+        seen.update(canon.canonical_bytes(r.tobytes(), n)[0]
+                    for r in rows.astype(np.uint8))
 
     _search([0] * (1 << n), masks, n, k, leaf)
     return len(seen)

@@ -20,25 +20,16 @@ from polycat.oracle import brute_labeled_count
 
 
 def all_tables(n, k=2):
-    """Every valid labeled table, via the oracle's search bounds."""
-    from polycat.oracle import _bounds
+    """Every valid labeled table, in lexicographic order, by the
+    oracle's search over the masks in increasing order."""
+    from polycat.oracle import _search
 
-    size = 1 << n
-    rho = [0] * size
     out = []
 
-    def assign(m):
-        if m == size:
-            out.append(RankTable(n, k, tuple(rho)))
-            return
-        lo, hi = _bounds(rho, m, n, k)
-        if m.bit_count() == 1:
-            hi = min(hi, k)
-        for v in range(lo, hi + 1):
-            rho[m] = v
-            assign(m + 1)
+    def leaf(rows):
+        out.extend(RankTable(n, k, tuple(r)) for r in rows.tolist())
 
-    assign(1)
+    _search([0] * (1 << n), range(1, 1 << n), n, k, leaf)
     return out
 
 

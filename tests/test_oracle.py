@@ -1,12 +1,91 @@
+import hashlib
+import itertools
+
 import pytest
 
-from polycat import RankTable
-from polycat.extensions import enumerate_extensible_partitions, extend
+from polycat import RankTable, flats, oracle, validate
+from polycat.extensions import (
+    enumerate_extensible_partitions,
+    extension_builder,
+)
 from polycat.oracle import (
+    _brute_class_count,
     brute_extensions,
     brute_labeled_count,
     cross_check,
 )
+from tests.test_core import all_tables
+
+# sha256 over the concatenated bytes(rho) of brute_extensions of every
+# X_4 entry, in catalog order (14,100 tables)
+X4_EXTENSIONS_SHA256 = (
+    "78ace02df39c2ffaecc913297b4269092a580584ff61baac9dd70147866b43f8")
+
+
+def _record_blocks(monkeypatch, cap):
+    """Set _SEARCH_ENTRIES to cap and return a list that then collects
+    the shape of every leaf block _search passes on."""
+    monkeypatch.setattr(oracle, "_SEARCH_ENTRIES", cap)
+    blocks = []
+    search = oracle._search
+
+    def recording(rho, masks, n, k, leaf):
+        def record(rows):
+            blocks.append(rows.shape)
+            leaf(rows)
+        search(rho, masks, n, k, record)
+
+    monkeypatch.setattr(oracle, "_search", recording)
+    return blocks
+
+
+class TestSearch:
+    @pytest.mark.parametrize("n, k, count", [(2, 2, 14), (3, 2, 115),
+                                             (3, 1, 16)])
+    def test_matches_filter_over_all_tuples(self, n, k, count):
+        # every tuple under the cardinality cap, in lexicographic order,
+        # kept when validate accepts it
+        ranges = [range(1)] + [range(k * m.bit_count() + 1)
+                               for m in range(1, 1 << n)]
+        valid = [rho for rho in itertools.product(*ranges)
+                 if validate(RankTable(n, k, rho)) is None]
+        assert len(valid) == count
+        assert [t.rho for t in all_tables(n, k)] == valid
+
+    def test_split_frontier_keeps_results_and_order(self, cats3,
+                                                    monkeypatch):
+        def run():
+            return (brute_labeled_count(4, 2), _brute_class_count(4, 2),
+                    [[t.rho for t in brute_extensions(e.table)]
+                     for e in cats3[3].entries])
+
+        whole = run()
+        cap = 64
+        blocks = _record_blocks(monkeypatch, cap)
+        assert run() == whole
+        # unsplit, each of the 2 + |X_3| searches is one leaf block
+        assert len(blocks) > 2 + len(cats3[3])
+        # the children of one row (at most k + 1 = 3 tables of 16
+        # entries) fit the cap, so every block does
+        assert max(r * c for r, c in blocks) <= cap
+
+    def test_single_row_frontiers(self, monkeypatch):
+        whole = all_tables(3)
+        blocks = _record_blocks(monkeypatch, 1)
+        assert all_tables(3) == whole
+        # every frontier is split down to one row, whose children are
+        # at most k + 1 tables
+        assert len(blocks) > 1 and max(r for r, _ in blocks) <= 3
+
+    def test_x4_extensions_pinned(self, cats5):
+        h = hashlib.sha256()
+        count = 0
+        for e in cats5[4].entries:
+            for t in brute_extensions(e.table):
+                h.update(bytes(t.rho))
+                count += 1
+        assert count == 14100
+        assert h.hexdigest() == X4_EXTENSIONS_SHA256
 
 
 class TestBruteLabeledCount:
@@ -53,11 +132,10 @@ class TestBruteExtensions:
 
     def test_matches_partition_extensions(self, two_lines):
         brute = {t.rho for t in brute_extensions(two_lines)}
-        built = {
-            extend(two_lines, p).rho
-            for p in enumerate_extensible_partitions(two_lines)
-        }
-        assert brute == built
+        lattice = flats(two_lines)
+        rows = enumerate_extensible_partitions(two_lines, lattice)
+        built = extension_builder(two_lines, lattice)(rows)
+        assert brute == set(map(tuple, built.tolist()))
 
     def test_parent_half_fixed(self, three_lines):
         for t in brute_extensions(three_lines):
