@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import canon, core, gen, oracle
@@ -43,19 +44,29 @@ def cmd_enumerate(args):
     return 0
 
 
-def _load_catalogs(indir):
-    cats = []
-    for name in sorted(os.listdir(indir)):
-        if name.startswith("polycat-") and name.endswith(".txt"):
-            cats.append(gen.read_catalog(os.path.join(indir, name)))
+def _read_named_catalog(path, n, k):
+    cat = gen.read_catalog(path)
+    if (cat.n, cat.k) != (n, k):
+        raise ValueError(f"{path}: header disagrees with the name")
+    return cat
+
+
+def _load_catalogs(indir, k):
+    """Every k catalog in indir (polycat-k{k}-n*.txt), in order of n."""
+    pattern = re.compile(rf"polycat-k{k}-n(\d+)\.txt")
+    cats = [
+        _read_named_catalog(os.path.join(indir, name), int(match[1]), k)
+        for name in sorted(os.listdir(indir))
+        if (match := pattern.fullmatch(name))
+    ]
     if not cats:
-        raise FileNotFoundError(f"no catalog files in {indir}")
+        raise FileNotFoundError(f"no k={k} catalog files in {indir}")
     cats.sort(key=lambda c: c.n)
     return cats
 
 
 def cmd_count(args):
-    cats = _load_catalogs(args.indir)
+    cats = _load_catalogs(args.indir, args.k)
     if args.filter_min_rank is not None:
         counts = [
             (c.n, gen.filter_count(c, args.filter_min_rank)) for c in cats
@@ -95,9 +106,7 @@ def cmd_verify(args):
     for n in range(args.n + 1):
         path = _catalog_path(args.indir, n, args.k)
         if os.path.exists(path):
-            cats.append(gen.read_catalog(path))
-            if (cats[-1].n, cats[-1].k) != (n, args.k):
-                raise ValueError(f"{path}: header disagrees with the name")
+            cats.append(_read_named_catalog(path, n, args.k))
     if not cats:
         raise FileNotFoundError(
             f"no k={args.k} catalog files for n <= {args.n} in {args.indir}")
@@ -159,6 +168,7 @@ def build_parser():
 
     p = sub.add_parser("count", help="print count tables from catalogs")
     p.add_argument("--in", dest="indir", required=True)
+    p.add_argument("--k", type=int, default=2, choices=(1, 2))
     p.add_argument("--labeled", action="store_true")
     p.add_argument("--filter-min-rank", type=int, default=None)
     p.add_argument("--format", choices=("csv", "text"), default="text")

@@ -15,9 +15,12 @@ numpy pass per flat over a frontier of all partial assignments, and
 returns the partitions as the rows of one array.  Each condition bounds
 a flat assigned later (a subset, or the meet of a pair) by flats
 assigned earlier, so every row carries per-flat lower and upper bounds
-that are tightened as soon as a value is fixed, and a row is dropped
-the moment some interval is empty.  extension_builder turns one row, or
-a block of rows, into extension rank tables.
+that are tightened as soon as a value is fixed.  The frontier is kept
+flat-major and contiguous (one run of rows per flat), so that reading
+or writing one flat's bounds on every row moves whole runs; a row whose
+bounds emptied is dropped by the next expansion rather than by a copy
+of its own.  extension_builder turns one row, or a block of rows, into
+extension rank tables.
 """
 
 from __future__ import annotations
@@ -124,57 +127,124 @@ def check_partition(parent: RankTable, mu, lattice: FlatLattice | None = None):
 def _flat_tables(parent: RankTable, lattice: FlatLattice, dtype):
     """What assigning each flat a decides, in search order.
 
-    Per flat: its index a; its strict subsets s (all assigned later)
-    with rho(a) - rho(s), the slack condition (II) leaves; and the
-    incomparable pairs (a, b) with b assigned earlier, which are
-    complete once a is, sorted by meet: the other member b, the join and
-    the modular defect as arrays, with the distinct meets (as positions
-    in the subset array, since a meet is a subset of a) and the start of
-    each meet's run."""
+    Per flat: its index a; its strict subsets s (all assigned later),
+    as rows of LO (their flat indices) and of HI (their place after a in
+    search order), with rho(a) - rho(s), the slack condition (II)
+    leaves; and the incomparable pairs (a, b) with b assigned earlier,
+    which are complete once a is, grouped by meet.  A meet is a subset
+    of a, and the M subsets that are meets come first, in the order of
+    their runs of pairs.  The pairs come as padded runs: a (2, M * L)
+    array of the other member b over the join, and the modular defect,
+    one run of L entries per meet, where L is the longest run of the
+    flat.  A shorter run repeats its own last pair up to L, which
+    leaves the run's minimum unchanged, so the caps of all M meets are
+    one min over a (M, L, rows) block."""
     fl = np.array(lattice.flats, np.intp)
     m = len(fl)
     # supersets before subsets
-    order = sorted(range(m), key=lambda i: -lattice.flats[i].bit_count())
+    size = np.array([f.bit_count() for f in lattice.flats])
+    order = (-size).argsort(kind="stable")
+    pos = order.argsort()
     rho = np.array(parent.rho, np.int64)
     rho_fl = rho[fl]
     cl_idx = lattice.closure
-    pos = np.empty(m, np.intp)
-    pos[order] = np.arange(m)
     meet = fl[:, None] & fl
     sub = meet == fl  # sub[a, s]: flat s lies inside flat a
     np.fill_diagonal(sub, False)
-    sub_pos = np.cumsum(sub, axis=1) - 1
 
-    sa, ss = np.nonzero(sub[order])
-    sub_off = np.searchsorted(sa, np.arange(m + 1))
-    gap = (rho_fl[np.asarray(order)[sa]] - rho_fl[ss]).astype(dtype)
-
-    later, other = np.nonzero(~(sub | sub.T) & (pos[:, None] > pos))
+    later, other = (~(sub | sub.T) & (pos[:, None] > pos)).nonzero()
     meet_idx = cl_idx[meet[later, other]]
     union = fl[later] | fl[other]
     defect = rho_fl[later] + rho_fl[other] - rho[union] - rho_fl[meet_idx]
     # (III) puts mu[join] <= mu[a], so (I) caps the meet at no less than
     # mu[b] + d: a pair with d >= k can never cut below HI <= k
     key = pos[later] * m + meet_idx
-    kept = np.flatnonzero(defect < parent.k)
-    kept = kept[np.argsort(key[kept], kind="stable")]
-    later, other, key = later[kept], other[kept], key[kept]
-    meet_idx, join = meet_idx[kept], cl_idx[union[kept]]
+    kept = (defect < parent.k).nonzero()[0]
+    kept = kept[key[kept].argsort(kind="stable")]
+    key = key[kept]
+    pair = np.array((other[kept], cl_idx[union[kept]]))
     defect = defect[kept].astype(dtype)
-    pair_off = np.searchsorted(pos[later], np.arange(m + 1))
-    runs = np.flatnonzero(np.diff(key, prepend=-1))
-    run_off = np.searchsorted(runs, pair_off)
-    run_meet = sub_pos[later[runs], meet_idx[runs]]
+    head = np.ones(len(key) + 1, bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:-1])
+    edges = head.nonzero()[0]  # the start of each run, then the end
+    runs, run_len = edges[:-1], edges[1:] - edges[:-1]
+    run_level, run_meet = np.divmod(key[runs], m)
+    # pad every run to its level's longest by repeating its last pair
+    longest = np.zeros(m, np.intp)
+    np.maximum.at(longest, run_level, run_len)
+    padded = longest[run_level]
+    step = np.arange(padded.sum()) - (padded.cumsum() - padded).repeat(padded)
+    pick = runs.repeat(padded) + np.minimum(step, (run_len - 1).repeat(padded))
+    pair, defect = pair[:, pick], defect[pick, None]
+    n_meets = np.bincount(run_level, minlength=m)
+    pad_len = n_meets * longest
+    pad_end = pad_len.cumsum()
+
+    # the subsets of each flat, its meets first
+    is_meet = np.zeros((m, m), bool)
+    is_meet[run_level, run_meet] = True
+    sa, ss = sub[order].nonzero()
+    meets_first = (2 * sa + ~is_meet[sa, ss]).argsort(kind="stable")
+    sa, ss = sa[meets_first], ss[meets_first]
+    gap = (rho_fl[order[sa]] - rho_fl[ss]).astype(dtype)
+    # HI holds the flats after a in search order once a is assigned
+    hsub = pos[ss] - sa - 1
+    sub_off = sa.searchsorted(np.arange(m + 1)).tolist()
 
     tables = []
-    for p, a in enumerate(order):
+    for p, (a, q0, q1, nm) in enumerate(zip(
+            order.tolist(), (pad_end - pad_len).tolist(), pad_end.tolist(),
+            n_meets.tolist())):
         s0, s1 = sub_off[p], sub_off[p + 1]
-        p0, p1 = pair_off[p], pair_off[p + 1]
-        r0, r1 = run_off[p], run_off[p + 1]
-        tables.append((a, ss[s0:s1], gap[s0:s1, None], other[p0:p1],
-                       join[p0:p1], defect[p0:p1, None], run_meet[r0:r1],
-                       runs[r0:r1] - p0))
+        tables.append((a, ss[s0:s1], hsub[s0:s1], gap[s0:s1, None],
+                       pair[:, q0:q1], defect[q0:q1], nm))
     return tables
+
+
+def _frontier(parent: RankTable, lattice: FlatLattice):
+    """The search of enumerate_extensible_partitions: the LO plane of
+    the last frontier (one column per row, mu once every flat is
+    assigned), and a mask of its live columns, or None when all are."""
+    dtype = _row_dtype(parent)
+    m = len(lattice)
+    # lo[f] is LO of flat f; hi[j] is HI of the j-th flat in search
+    # order, shifted by one row as each flat is assigned
+    lo = np.zeros((m, 1), dtype)
+    hi = np.full((m, 1), parent.k, dtype)
+    live = None
+    for a, subs, hsubs, gap, pair, defect, meets in _flat_tables(
+            parent, lattice, dtype):
+        width = np.subtract(hi[0], lo[a], dtype=np.intp) + 1
+        hi = hi[1:]
+        if live is not None:
+            width *= live
+        if width.max() > 1:
+            rep = np.arange(len(width)).repeat(width)
+            step = np.arange(len(rep)) - (width.cumsum() - width).take(rep)
+            lo = lo.take(rep, axis=1)
+            hi = hi.take(rep, axis=1)
+            lo[a] += step
+            live = None
+        if not len(subs):
+            continue
+        v = lo[a]
+        sub_lo = lo.take(subs, axis=0)
+        np.maximum(sub_lo, v, out=sub_lo)
+        sub_hi = hi.take(hsubs, axis=0)
+        np.minimum(sub_hi, v + gap, out=sub_hi)
+        if meets:
+            slack = lo.take(pair[0], axis=0)
+            slack += defect
+            slack -= lo.take(pair[1], axis=0)
+            cap = slack.reshape(meets, -1, len(v)).min(axis=1)
+            cap += v
+            np.minimum(sub_hi[:meets], cap, out=sub_hi[:meets])
+        lo[subs] = sub_lo
+        hi[hsubs] = sub_hi
+        ok = (sub_lo <= sub_hi).all(axis=0)
+        if np.count_nonzero(ok) < len(ok):
+            live = ok if live is None else live & ok
+    return lo, live
 
 
 def enumerate_extensible_partitions(parent: RankTable,
@@ -192,49 +262,44 @@ def enumerate_extensible_partitions(parent: RankTable,
       (II)  a subset s of a:   HI[s] <= mu[a] + rho(a) - rho(s);
       (I)   the meet of a pair (a, b) with b already assigned:
             HI[meet] <= mu[a] + mu[b] + d(a, b) - mu[join].
-    Rows with LO > HI anywhere are dropped at once, so the frontier
-    never holds a partial assignment whose bounds are already empty.
-    Measured on 70 n=6 polymatroids of 51-64 flats, the largest
+    The cap (I) puts on a meet is the min over its pairs.  _flat_tables
+    pads each meet's run of pairs to the flat's longest run by repeating
+    the run's last pair, which leaves its min unchanged, so the caps of
+    all of a flat's meets are one (meets, L, rows) block reduced over
+    its middle axis.
+
+    The frontier is flat-major and C-contiguous: LO is one (flats, rows)
+    array in flat order, and HI one (flats left, rows) array in search
+    order, so that HI of the assigned flat is always its first row and
+    is sliced off as the flat is assigned (only LO is read after that).
+    A flat's bounds over all rows are then one contiguous run, and every
+    gather and scatter above moves whole runs.  Rows are expanded with
+    take and filtered with compress on the row axis: an advanced index
+    on the last axis would lay its result out with that axis outermost,
+    leaving every later read of a flat strided by the number of flats.
+
+    A row whose bounds emptied is not copied out at once.  It is marked
+    dead and lives on until the next expansion, where it repeats 0
+    times; the rows still dead after the last flat are dropped by one
+    compress.  So each level copies the frontier at most once.
+    Measured on 70 n=6 polymatroids of 51-64 flats, the largest live
     frontier was at most 3.3 times the number of partitions returned,
     and at most 1.13 times on the 15 with more than 100,000 partitions
     (the largest: 1,729,414 rows for 1,598,828 partitions).
     """
     if lattice is None:
         lattice = flats(parent)
-    dtype = _row_dtype(parent)
-    # bounds[0] is LO and bounds[1] is HI, one column per row
-    bounds = np.empty((2, len(lattice), 1), dtype)
-    bounds[0], bounds[1] = 0, parent.k
-    for a, subs, gap, others, joins, defect, meets, starts in _flat_tables(
-            parent, lattice, dtype):
-        width = (bounds[1, a] - bounds[0, a]).astype(np.intp) + 1
-        if width.max() > 1:
-            rep = np.repeat(np.arange(len(width)), width)
-            step = np.arange(len(rep)) - (np.cumsum(width) - width)[rep]
-            bounds = bounds[:, :, rep]
-            bounds[0, a] += step.astype(dtype)
-            bounds[1, a] = bounds[0, a]
-        if not len(subs):
-            continue
-        lo, hi = bounds[0], bounds[1]
-        v = lo[a]
-        sub_lo = np.maximum(lo[subs], v)
-        sub_hi = np.minimum(hi[subs], v + gap)
-        if len(others):
-            slack = lo[others] + defect - lo[joins]
-            cap = np.minimum.reduceat(slack, starts, axis=0) + v
-            sub_hi[meets] = np.minimum(sub_hi[meets], cap)
-        lo[subs] = sub_lo
-        hi[subs] = sub_hi
-        ok = (sub_lo <= sub_hi).all(axis=0)
-        if not ok.all():
-            bounds = bounds[:, :, ok]
-    mu = bounds[0]
+    mu, live = _frontier(parent, lattice)
+    if live is not None:
+        mu = mu.compress(live, axis=1)
     return mu.T[np.lexsort(mu[::-1])]
 
 
 def _row_dtype(parent: RankTable):
-    # every frontier bound lies in [-k, k(n+2)]
+    # every frontier value lies in [-k, k(n+2)], on dead rows too: LO
+    # stays in [0, k] and HI in [-k, k], and the sums formed on the way
+    # (mu[a] + rho(a) - rho(s) for (II), and at most 3k - 1 for (I))
+    # stay below k(n+2)
     return np.int8 if parent.k * (parent.n + 2) < 128 else np.int64
 
 

@@ -318,9 +318,18 @@ def enumerate_all(n_max: int, k: int, jobs: int = 1):
 
 
 def count_table(catalogs, labeled: bool = False):
-    """rank x n matrix of counts; rows 0..k*n_max, one column per catalog."""
-    n_max = max(c.n for c in catalogs)
-    k = catalogs[0].k
+    """rank x n matrix of counts; rows 0..k*n_max, one column per catalog
+    in order of n.  The catalogs must share one k and have distinct n;
+    otherwise ValueError."""
+    ks = sorted({c.k for c in catalogs})
+    if len(ks) > 1:
+        raise ValueError(f"catalogs of mixed k: {ks}")
+    ns = sorted(c.n for c in catalogs)
+    repeated = sorted({n for n in ns if ns.count(n) > 1})
+    if repeated:
+        raise ValueError(f"more than one catalog for n in {repeated}")
+    n_max = ns[-1]
+    k = ks[0]
     rows = k * n_max + 1
     table = [[0] * len(catalogs) for _ in range(rows)]
     for j, cat in enumerate(sorted(catalogs, key=lambda c: c.n)):

@@ -47,6 +47,10 @@ FILTER_COUNTS = {1: 1, 2: 2, 3: 8, 4: 51, 5: 696, 6: 49121}
 # sha256 over every n=6 entry's rank bytes and 4-byte little-endian aut
 # order, in catalog order
 N6_SHA256 = "b066e6df13a160af8fb14f9ea8e63ee1609f91022f9cd81abcdf8b612e613e39"
+# sha256 over every X_5 parent's enumerated partition rows (rows.tobytes()),
+# in catalog order
+X5_PARTITIONS_SHA256 = (
+    "9ba108ea906f71929f673510e3dff00b8d028c4abcd2732fc3394444b3c9bbbd")
 
 
 def _report(num, ok, detail=""):
@@ -98,26 +102,30 @@ def _labeled_by_partition_counting(cat):
     """Labeled (n+1)-polymatroids per rank, counted from the n-catalog:
     each one extends exactly one labeled deletion, and each labeled
     parent P by exactly #partitions(P) of them, of rank
-    rho(S) + mu[S] (the full set is the last flat)."""
+    rho(S) + mu[S] (the full set is the last flat).  Also returns the
+    partition count and the sha256 over every parent's rows."""
     counts = [0] * (cat.k * (cat.n + 1) + 1)
     total = 0
+    digest = hashlib.sha256()
     fact = math.factorial(cat.n)
     for e in cat.entries:
         parts = enumerate_extensible_partitions(e.table)
         total += len(parts)
+        digest.update(parts.tobytes())
         for top in parts[:, -1].tolist():
             counts[e.table.rank + top] += fact // e.aut_order
-    return counts, total
+    return counts, total, digest.hexdigest()
 
 
 def test_labeled_totals_by_partition_counting(cats5):
     for n in range(5):
-        counts, _ = _labeled_by_partition_counting(cats5[n])
+        counts, _, _ = _labeled_by_partition_counting(cats5[n])
         assert counts == cats5[n + 1].labeled_rank_counts(), n
-    counts, partitions = _labeled_by_partition_counting(cats5[5])
+    counts, partitions, digest = _labeled_by_partition_counting(cats5[5])
     assert counts == LABELED_BY_RANK_6
     assert sum(counts) == LABELED_TOTALS[6]
     assert partitions == 1020083
+    assert digest == X5_PARTITIONS_SHA256
 
 
 def test_criterion_04_labeled_totals(cats6):

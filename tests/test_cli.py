@@ -95,6 +95,38 @@ class TestCount:
         assert main(["count", "--in", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_reads_only_the_catalogs_of_its_k(self, catalog_dir, tmp_path,
+                                              capsys):
+        # enumerate --k 1 and --k 2 into one directory
+        d = tmp_path / "mixed"
+        d.mkdir()
+        for p in catalog_dir.iterdir():
+            (d / p.name).write_bytes(p.read_bytes())
+        assert main(["enumerate", "--n", "2", "--k", "1", "--out", str(d),
+                     "--jobs", "1"]) == 0
+        capsys.readouterr()
+        assert main(["count", "--in", str(d), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "total,1,3,10,40"
+        assert main(["count", "--in", str(d), "--k", "1",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "total,1,2,4"
+
+    def test_no_catalog_of_its_k_is_usage_error(self, catalog_dir, capsys):
+        assert main(["count", "--in", str(catalog_dir), "--k", "1"]) == 2
+        assert "no k=1 catalog files" in capsys.readouterr().err
+
+    def test_misnamed_catalog_is_usage_error(self, catalog_dir, tmp_path,
+                                             capsys):
+        d = tmp_path / "cats"
+        d.mkdir()
+        (d / "polycat-k2-n0.txt").write_bytes(
+            (catalog_dir / "polycat-k2-n0.txt").read_bytes())
+        (d / "polycat-k2-n1.txt").write_bytes(
+            (catalog_dir / "polycat-k2-n0.txt").read_bytes())
+        assert main(["count", "--in", str(d)]) == 2
+        assert "polycat-k2-n1.txt: header disagrees" in \
+            capsys.readouterr().err
+
 
 class TestVerify:
     def test_catalogs_pass(self, catalog_dir, capsys):

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from polycat import RankTable, flats, validate
+from polycat.core import modular_defect
 from polycat.extensions import (
     _check_general,
     _check_seven,
+    _flat_tables,
+    _frontier,
     _partitions_by_filter,
     check_partition,
     enumerate_extensible_partitions,
@@ -145,6 +148,22 @@ class TestEnumerate:
         for p in parts[::20]:
             assert check_partition(heavy, p, lat) is None
 
+    def test_folded_filter_reaches_the_final_compress(self, cats3):
+        # rows whose bounds emptied after the last expansion are dropped
+        # by the one compress at the end; some parent that
+        # test_matches_filter_reference_path compares ends that way
+        reached = 0
+        for cat in cats3:
+            for e in cat.entries:
+                lat = flats(e.table)
+                if len(lat) > 12:
+                    continue
+                _, live = _frontier(e.table, lat)
+                if live is not None:
+                    assert not live.all()
+                    reached += 1
+        assert reached
+
     def test_large_k_matches_filter(self):
         # bounds this wide do not fit in int8
         for table in (RankTable(1, 100, (0, 100)),
@@ -154,6 +173,54 @@ class TestEnumerate:
             slow = _partitions_by_filter(table, lat)
             assert fast.dtype == slow.dtype == np.int64
             assert np.array_equal(fast, slow) and len(fast) > 100
+
+
+class TestFlatTables:
+    def test_padded_runs_hold_each_meets_pairs(self, cats5):
+        unequal = False
+        for e in cats5[4].entries:
+            t = e.table
+            lat = flats(t)
+            fl, cl = lat.flats, lat.closure
+            search = sorted(range(len(fl)), key=lambda i: -fl[i].bit_count())
+            tables = _flat_tables(t, lat, np.int8)
+            assert [tab[0] for tab in tables] == search
+            for p, (a, subs, hsubs, gap, pair, defect, meets) in enumerate(
+                    tables):
+                f = fl[a]
+                subs = subs.tolist()
+                assert sorted(subs) == [
+                    i for i, g in enumerate(fl) if g != f and g & f == g]
+                assert hsubs.tolist() == [
+                    search.index(s) - p - 1 for s in subs]
+                assert gap[:, 0].tolist() == [
+                    t.rho[f] - t.rho[fl[s]] for s in subs]
+                # every pair (a, b), b assigned earlier, that (I) can cut
+                # at, grouped by meet
+                want = {}
+                for b in search[:p]:
+                    g = fl[b]
+                    d = modular_defect(t, f, g)
+                    if f & g not in (f, g) and d < t.k:
+                        want.setdefault(cl[f & g], []).append(
+                            (b, cl[f | g], d))
+                assert sorted(subs[:meets]) == sorted(want)
+                if not meets:
+                    assert pair.shape[1] == len(defect) == 0
+                    continue
+                runs = zip(pair[0].reshape(meets, -1).tolist(),
+                           pair[1].reshape(meets, -1).tolist(),
+                           defect.reshape(meets, -1).tolist())
+                lengths = set()
+                for meet, run in zip(subs, runs):
+                    run = list(zip(*run))
+                    n = len(want[meet])
+                    # the run's own pairs, then its last pair repeated
+                    assert sorted(run[:n]) == sorted(want[meet])
+                    assert run[n:] == run[n - 1:n] * (len(run) - n)
+                    lengths.add(n)
+                unequal = unequal or len(lengths) > 1
+        assert unequal
 
 
 class TestExtend:

@@ -286,6 +286,15 @@ class TestCountsAndChecks:
         table = count_table(cats3, labeled=True)
         assert sum(table[r][3] for r in range(7)) == 115
 
+    def test_count_table_rejects_mixed_k(self, cats3):
+        matroids = enumerate_all(2, 1)
+        with pytest.raises(ValueError, match="mixed k"):
+            count_table(list(cats3) + [matroids[2]])
+
+    def test_count_table_rejects_repeated_n(self, cats3):
+        with pytest.raises(ValueError, match="more than one catalog"):
+            count_table(list(cats3) + [cats3[2]])
+
     def test_filter_counts(self, cats5):
         assert [filter_count(c) for c in cats5] == [0, 1, 2, 8, 51, 696]
 
