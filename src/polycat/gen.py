@@ -14,16 +14,23 @@ canon.anchored_forms decides the whole block in one search, labeling
 only the accepted rows.  Extensions of distinct parents are never
 compared, so the outer loop parallelizes with no shared state.
 
-One runner, _blocks, cuts the parents into blocks and runs them in
-order, serially or on a process pool, each block giving its accepted
-extensions sorted.  generate_next merges the blocks in memory;
-generate_next_stream writes each block to a shard file and merges the
-shards into the catalog file.
+An accepted class travels as one record, a row of a uint8 matrix: its
+2^(n+1) rank bytes, then its aut order as 4 big-endian bytes, so that
+rows in byte order are entries in catalog order.  One runner, _blocks,
+cuts the parents into blocks and runs them in order, serially or on a
+process pool, each block giving its records sorted.  generate_next
+merges the blocks in memory into catalog entries; generate_next_stream
+writes each block's records to a binary shard file, merges the shards
+by their bytes, and makes text only in the final merge, formatting
+blocks of records into the catalog file.  write_catalog and that merge
+share one numpy block formatter, and read_catalog parses the file in
+numpy, a bounded chunk of lines at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import heapq
 import itertools
 import math
@@ -49,11 +56,17 @@ from .extensions import enumerate_extensible_partitions, extension_builder
 _BLOCK = 1 << 16
 # Shard files merged at once by generate_next_stream.
 _FAN_IN = 64
+# Records merged, formatted or written at a time: a block of 512 n=7
+# records formats in about 0.2 MB of uint8 temporaries.
+_ROWS = 512
+# Catalog bytes read_catalog parses at a time, in whole lines.
+_READ_BYTES = 1 << 14
 # Orbit representatives decided by extensions_of_parent in this process
 # (one per Aut(parent)-orbit passing the prefilter; no canonical_bytes
 # call is made for them).  _worker takes the difference around its own
 # parents; a counter is used because extensions_of_parent keeps its
-# (accepted, partitions) result, which perfbench's tracer unpacks.
+# (records, partitions) 2-tuple, which perfbench's tracer unpacks,
+# reading len(records) as the accepted count.
 _canonical_calls = 0
 
 
@@ -123,8 +136,25 @@ def flat_automorphisms(parent: RankTable, lattice):
     automorphisms that fix every flat are left out, and each action
     appears once.  The parent must be canonical."""
     auts = canon.automorphisms(bytes(parent.rho), parent.n)
-    acts = np.unique(lattice.closure[auts[:, lattice.flats]], axis=0)
+    # a flat's index is below 2^n <= 256, so the actions are byte rows
+    acts = lattice.closure[auts[:, lattice.flats]].astype(np.uint8)
+    acts = _distinct_rows(acts).astype(np.intp)
     return acts[(acts != np.arange(len(lattice))).any(axis=1)]
+
+
+def _distinct_rows(rows):
+    """The distinct rows of a 2-D uint8 array, in byte order: one sort of
+    the rows as fixed-width void values, then an adjacent-row compare."""
+    width = rows.shape[1]
+    rows = np.sort(np.ascontiguousarray(rows).view(f"V{width}").ravel())
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = rows[1:] != rows[:-1]
+    return rows[keep].view(np.uint8).reshape(-1, width)
+
+
+def _auts(records):
+    """The aut orders of a record matrix, from its last 4 bytes."""
+    return np.ascontiguousarray(records[:, -4:]).view(">u4").ravel()
 
 
 def orbit_representatives(rows, acts):
@@ -145,8 +175,11 @@ def orbit_representatives(rows, acts):
 
 
 def extensions_of_parent(parent: RankTable):
-    """Accepted canonical extensions of one parent, sorted, plus the
-    number of partitions tried.  The parent must itself be canonical.
+    """The accepted canonical extensions of one parent as records, a
+    (classes, 2^(n+1) + 4) uint8 matrix sorted by rows, and the number
+    of partitions tried, as that 2-tuple (perfbench's tracer unpacks it
+    and reads len(records) as the accepted count).  The parent must
+    itself be canonical.
 
     Only one partition per orbit of Aut(parent) is decided.  An
     automorphism g of the parent, extended to the new element e by
@@ -169,7 +202,7 @@ def extensions_of_parent(parent: RankTable):
     # new element's rank is mu at cl(empty set), the first flat, which
     # every automorphism fixes, so the test keeps or drops whole orbits.
     top = max(parent.rho[1 << j] for j in range(n)) if n else 0
-    accepted = {}
+    records = [np.empty((0, (2 << n) + 4), dtype=np.uint8)]
     for i in range(0, len(rows), _BLOCK):
         block = rows[i:i + _BLOCK]
         block = orbit_representatives(block[block[:, 0] >= top], acts)
@@ -179,30 +212,32 @@ def extensions_of_parent(parent: RankTable):
         # already lex-min among the relabelings of the deletion, because
         # the full sequence minimizes its first half before the rest.  So
         # the accepted extensions are those whose canonical form starts
-        # with the parent; isomorphic ones share their form and aut.
+        # with the parent; isomorphic ones share their form and aut,
+        # so their records are equal, and the final sort drops repeats
         forms, auts = canon.anchored_forms(build(block), parent_bytes)
-        accepted.update(zip(map(tuple, forms.tolist()), auts.tolist()))
-    return sorted(accepted.items()), len(rows)
+        records.append(np.concatenate(
+            (forms, auts.astype(">u4").view(np.uint8).reshape(-1, 4)),
+            axis=1))
+    return _distinct_rows(np.concatenate(records)), len(rows)
 
 
 def _worker(args):
-    """Accepted extensions of one block of parents as one sorted list of
-    (rho, aut), with the block's stats."""
+    """The records of one block of parents as one sorted matrix, with the
+    block's stats."""
     k, rhos = args
-    accepted = []
+    records = []
     stats = GenerationStats()
     calls = _canonical_calls
     for rho in rhos:
         n = len(rho).bit_length() - 1
         acc, nparts = extensions_of_parent(RankTable(n, k, rho))
-        accepted += acc
+        records.append(acc)
         stats.parents += 1
         stats.partitions += nparts
         stats.accepted += len(acc)
         stats.rejected += nparts - len(acc)
     stats.canonical = _canonical_calls - calls
-    accepted.sort()
-    return accepted, stats
+    return _distinct_rows(np.concatenate(records)), stats
 
 
 def _blocks(xn: Catalog, jobs: int):
@@ -226,14 +261,18 @@ def generate_next(xn: Catalog, jobs: int = 1):
     """One canonical-deletion step: the complete catalog for n+1."""
     start = time.monotonic()
     stats = GenerationStats()
-    blocks = []
-    for accepted, st in _blocks(xn, jobs):
+    size = 2 << xn.n
+    blocks = [np.empty((0, size + 4), dtype=np.uint8)]
+    for records, st in _blocks(xn, jobs):
         stats.merge(st)
-        blocks.append(accepted)
-    # each class has one rho, accepted at one parent, so merging the
-    # sorted blocks sorts the catalog
-    entries = tuple(CatalogEntry(RankTable(xn.n + 1, xn.k, rho), aut)
-                    for rho, aut in heapq.merge(*blocks))
+        blocks.append(records)
+    # each class has one rho, accepted at one parent, so the blocks
+    # share no record and sorting their rows sorts the catalog
+    records = _distinct_rows(np.concatenate(blocks))
+    entries = tuple(
+        CatalogEntry(RankTable(xn.n + 1, xn.k, rho), aut)
+        for rho, aut in zip(map(tuple, records[:, :size].tolist()),
+                            _auts(records).tolist()))
     stats.wall_time = time.monotonic() - start
     return Catalog(xn.n + 1, xn.k, entries), stats
 
@@ -241,25 +280,27 @@ def generate_next(xn: Catalog, jobs: int = 1):
 def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
                          shard_dir=None):
     """generate_next with the catalog written to out_path instead of
-    kept: each block's accepted extensions go to a sorted shard file, and
-    the shards are merged into the catalog by canonical key.  Only counts
-    are kept in memory.  The shards live in a private directory under
-    shard_dir (default: the output's directory) that is removed on
-    return or on error.  The catalog is merged into a temporary file
-    beside out_path and renamed onto it at the end, so a failed run
-    leaves any earlier file at out_path as it was."""
+    kept: each block's records go to a sorted binary shard file, and the
+    shards are merged into the catalog by their bytes, text being made
+    in the final merge only.  Only counts are kept in memory.  The
+    shards live in a private directory under shard_dir (default: the
+    output's directory) that is removed on return or on error.  The
+    catalog is merged into a temporary file beside out_path and renamed
+    onto it at the end, so a failed run leaves any earlier file at
+    out_path as it was."""
     start = time.monotonic()
     out_dir = os.path.dirname(os.path.abspath(out_path))
+    width = (2 << xn.n) + 4
     stats = GenerationStats()
     run_dir = tempfile.mkdtemp(prefix=".shards-", dir=shard_dir or out_dir)
-    names = (os.path.join(run_dir, f"{i:05d}.txt") for i in itertools.count())
+    names = (os.path.join(run_dir, f"{i:05d}.rec") for i in itertools.count())
     try:
         shards = []
-        for accepted, st in _blocks(xn, jobs):
+        for records, st in _blocks(xn, jobs):
             stats.merge(st)
             shards.append(next(names))
-            with open(shards[-1], "w") as fh:
-                fh.writelines(_entry_line(r, a) for r, a in accepted)
+            with open(shards[-1], "wb") as fh:
+                fh.write(records)
         # merge at most _FAN_IN shards at once, in rounds, so that the
         # open files stay bounded however many blocks there are
         while len(shards) > _FAN_IN:
@@ -268,15 +309,16 @@ def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
             shards = []
             for group in groups:
                 shards.append(next(names))
-                with open(shards[-1], "w") as out:
-                    _merge_shards(group, out)
+                with open(shards[-1], "wb") as out:
+                    _merge_shards(group, width, out.write)
                 for path in group:
                     os.remove(path)
         fd, tmp = tempfile.mkstemp(prefix=".catalog-", dir=out_dir)
         try:
-            with open(fd, "w") as out:
+            with open(fd, "wb") as out:
                 out.write(_header(xn.n + 1, xn.k, stats.accepted))
-                _merge_shards(shards, out)
+                _merge_shards(shards, width, lambda rows: out.write(
+                    _format_entries(rows[:, :-4], _auts(rows))))
             # mkstemp makes the file private; give it the mode a plain
             # open would have
             umask = os.umask(0)
@@ -292,15 +334,16 @@ def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
     return stats
 
 
-def _merge_shards(paths, out):
-    """Write the lines of sorted shard files to out, merged in
-    canonical-key order."""
-    def entry_key(line):
-        return tuple(map(int, line.split()[:-1]))
-
+def _merge_shards(paths, width, write):
+    """Merge sorted shard files of width-byte records in byte order,
+    passing the records to write as (rows, width) uint8 matrices of at
+    most _ROWS rows."""
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(p)) for p in paths]
-        out.writelines(heapq.merge(*files, key=entry_key))
+        files = [iter(functools.partial(stack.enter_context(
+            open(p, "rb")).read, width), b"") for p in paths]
+        merged = heapq.merge(*files)
+        while batch := b"".join(itertools.islice(merged, _ROWS)):
+            write(np.frombuffer(batch, dtype=np.uint8).reshape(-1, width))
 
 
 def enumerate_all(n_max: int, k: int, jobs: int = 1):
@@ -380,42 +423,114 @@ def duality_check(catalog: Catalog):
 # entry:  rank values in increasing-bitmask order, then "aut=<order>"
 
 _HEADER_RE = re.compile(r"^POLYCAT v1 n=(\d+) k=(\d+) count=(\d+)$")
+# The bytes that separate the tokens of a line, as str.split() sees
+# ASCII, and the line breaks of a text-mode read.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_AUT = np.frombuffer(b"aut=", dtype=np.uint8)
 
 
 def _header(n, k, count):
-    return f"POLYCAT v1 n={n} k={k} count={count}\n"
+    return f"POLYCAT v1 n={n} k={k} count={count}\n".encode()
 
 
-def _entry_line(rho, aut):
-    return " ".join(map(str, rho)) + f" aut={aut}\n"
+def _decimal(values, head, tail):
+    """Each of an array of non-negative integers in decimal between the
+    bytes head and tail, in cells of one width along a new last axis:
+    (uint8 text, mask of the bytes to keep).  Values are right-aligned
+    in their cells, and the mask drops the leading zeros."""
+    values = np.asarray(values)
+    digits = len(str(values.max())) if values.size else 1
+    power = 10 ** np.arange(digits - 1, -1, -1, dtype=values.dtype)
+    column = values[..., None]
+    at = len(head)
+    text = np.empty(values.shape + (at + digits + len(tail),), dtype=np.uint8)
+    text[..., :at] = np.frombuffer(head, dtype=np.uint8)
+    text[..., at:at + digits] = column // power % 10 + 48
+    text[..., at + digits:] = np.frombuffer(tail, dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    keep[..., at:at + digits - 1] = column >= power[:-1]
+    return text, keep
+
+
+def _format_entries(ranks, auts):
+    """The catalog lines of a block of entries as ASCII bytes: ranks is
+    a (m, 2^n) and auts an (m,) array of non-negative integers."""
+    rank_text, rank_keep = _decimal(ranks, b"", b" ")
+    aut_text, aut_keep = _decimal(auts, b"aut=", b"\n")
+    m = len(aut_text)
+    text = np.concatenate((rank_text.reshape(m, -1), aut_text), axis=1)
+    keep = np.concatenate((rank_keep.reshape(m, -1), aut_keep), axis=1)
+    return text[keep].tobytes()
 
 
 def write_catalog(catalog: Catalog, path):
-    with open(path, "w") as fh:
-        fh.write(_header(catalog.n, catalog.k, len(catalog.entries)))
-        for e in catalog.entries:
-            fh.write(_entry_line(e.table.rho, e.aut_order))
+    entries = catalog.entries
+    with open(path, "wb") as fh:
+        fh.write(_header(catalog.n, catalog.k, len(entries)))
+        for i in range(0, len(entries), _ROWS):
+            block = entries[i:i + _ROWS]
+            fh.write(_format_entries(
+                np.array([e.table.rho for e in block]),
+                np.array([e.aut_order for e in block])))
 
 
 def read_catalog(path) -> Catalog:
-    with open(path) as fh:
-        head = fh.readline()
+    with open(path, "rb") as fh:
+        head = fh.readline().decode(errors="replace")
         m = _HEADER_RE.match(head.strip())
         if not m:
             raise ValueError(f"{path}: bad catalog header {head!r}")
         n, k, count = map(int, m.groups())
         entries = []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != (1 << n) + 1 or not parts[-1].startswith("aut="):
-                raise ValueError(f"{path}: malformed entry {line!r}")
-            rho = tuple(int(v) for v in parts[:-1])
-            aut = int(parts[-1][4:])
-            entries.append(CatalogEntry(RankTable(n, k, rho), aut))
+        # whole lines of about _READ_BYTES at a time
+        while lines := fh.readlines(_READ_BYTES):
+            entries += _parse_entries(b"".join(lines), n, k, path)
     if len(entries) != count:
         raise ValueError(
             f"{path}: header count {count} != {len(entries)} entries"
         )
     return Catalog(n, k, tuple(entries))
+
+
+def _parse_entries(chunk, n, k, path):
+    """The catalog entries in a chunk of whole lines, skipping blank
+    lines.  An entry line is 2^n ranks and then aut=<order>, each in
+    decimal digits, separated by whitespace; any other line raises
+    ValueError.  The chunk is read as one uint8 array: tokens are the
+    runs of non-space bytes, and each token's value is summed over its
+    digits, one digit place at a time."""
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    space = _SPACE[b]
+    edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
+    starts, ends = edges[::2], edges[1::2]
+    if not len(starts):
+        return []
+    breaks = np.flatnonzero((b == 10) | (b == 13))
+    line = np.searchsorted(breaks, starts)
+    last = np.append(line[1:] != line[:-1], True)
+    first = starts + 4 * last  # a line's last token opens with "aut="
+    length = ends - first
+    # mark the lines with a byte that is no space, digit or a last
+    # token's "aut=", a token of no digits or too many for int64, or
+    # another token count than 2^n + 1; a last token too short for its
+    # "aut=" is marked by its length, whichever bytes its prefix reads
+    prefix = np.minimum(starts[last, None] + np.arange(4), len(b) - 1)
+    ok = space | (b - 48 < 10)
+    ok[prefix] = b[prefix] == _AUT
+    bad = np.zeros(len(breaks) + 1, dtype=bool)
+    stray = np.searchsorted(starts, np.flatnonzero(~ok), "right") - 1
+    bad[line[stray]] = True
+    bad[line[(length < 1) | (length > 18)]] = True
+    counts = np.bincount(line, minlength=len(bad))
+    bad |= (counts != 0) & (counts != (1 << n) + 1)
+    if bad.any():
+        text = re.split(rb"[\n\r]", chunk)[bad.argmax()]
+        raise ValueError(f"{path}: malformed entry {text!r}")
+    value = np.zeros(len(starts), dtype=np.int64)
+    for place in range(int(length.max())):
+        digit = b[np.maximum(ends - 1 - place, 0)].astype(np.int64) - 48
+        value += (place < length) * digit * 10 ** place
+    rows = value.reshape(-1, (1 << n) + 1)
+    return [CatalogEntry(RankTable(n, k, tuple(rho)), aut)
+            for rho, aut in zip(rows[:, :-1].tolist(), rows[:, -1].tolist())]

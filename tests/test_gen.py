@@ -53,6 +53,13 @@ def _reference_extensions(parent):
     return out, len(parts)
 
 
+def _decoded(records):
+    """(rho, aut) for each row of a record matrix: the rank bytes, then
+    the aut order as 4 big-endian bytes."""
+    return [(tuple(row[:-4]), int.from_bytes(row[-4:], "big"))
+            for row in map(bytes, records)]
+
+
 def _brute_orbit_minima(parent):
     """The lex-min partition of each orbit of Aut(parent), sorted, and
     Aut(parent)'s actions on the flats; the automorphisms are found by
@@ -82,7 +89,8 @@ def reference_parents(cats5):
     heavy = []
     for i in (421, 1684):
         acc, _ = extensions_of_parent(cats5[5].entries[i].table)
-        heavy += [RankTable(6, 2, rho) for rho, aut in acc if aut >= 48]
+        heavy += [RankTable(6, 2, rho) for rho, aut in _decoded(acc)
+                  if aut >= 48]
     assert len(heavy) == 9
     return parents + heavy
 
@@ -192,7 +200,10 @@ class TestGeneration:
 
     def test_acceptance_matches_reference_rule(self, reference_parents):
         for parent in reference_parents:
-            assert extensions_of_parent(parent) == \
+            records, parts = extensions_of_parent(parent)
+            assert records.dtype == np.uint8
+            assert records.shape[1] == (2 << parent.n) + 4
+            assert (_decoded(records), parts) == \
                 _reference_extensions(parent)
 
     def test_anchored_forms_match_canonical_bytes(self, reference_parents,
@@ -383,10 +394,12 @@ class TestCatalogFiles:
         old = out.read_bytes()
         real = gen._merge_shards
 
-        def failing(paths, fh):
+        def failing(paths, width, write):
             # X_3 -> X_4 makes 40 shards, so this is the final merge;
-            # it writes part of the catalog before it fails
-            real(paths[:1], fh)
+            # it writes part of the catalog's text before it fails
+            written = []
+            real(paths[:1], width, lambda rows: written.append(write(rows)))
+            assert sum(written) > 0
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr(gen, "_merge_shards", failing)

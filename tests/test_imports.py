@@ -1,8 +1,11 @@
 """Static check, in place of a linter: every import in the package
-modules is used."""
+modules is used; and generation imports no module it does not need."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +40,17 @@ def test_finds_an_unused_import():
                                         if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
+
+
+def test_generation_does_not_import_numpy_ma():
+    # numpy imports numpy.ma lazily, with inspect and re work, on the
+    # first call that needs it; a pool worker would pay that on its
+    # first task
+    code = ("import sys\n"
+            "from polycat import enumerate_all, generate_next\n"
+            "generate_next(enumerate_all(3, 2)[3])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
