@@ -13,8 +13,10 @@ two entry points:
 - anchored_forms decides a whole block of one-element extensions of one
   canonical parent: one search over ordered label prefixes, level by
   level for every row at once, keeps the rows whose canonical form
-  starts with the parent and labels those only.  Generation goes
-  through it.
+  starts with the parent and labels those only.  Prefixes of old
+  elements read the parent alone and are found once per block; only
+  those holding the new element are carried per row.  Rows of a parent
+  that is not canonical are all rejected.  Generation goes through it.
 
 Tables have at most core.MAX_N = 8 elements.
 """
@@ -38,9 +40,11 @@ from .core import RankTable, bits_of, flats
 _SLICE_ROWS = 200
 # Table entries one level of anchored_forms reads at once; a level
 # over it is split between rows, so that the search's temporaries stay
-# near 10 bytes per entry (intp gather index, entry, the pairs' images)
-# whatever the block size.  A single row is never split; it reads at
-# most n! * 2^(n-1) entries at a level (322,560 for a 7-element table).
+# near 12 bytes per entry (intp gather index, entry, the children's
+# images) whatever the block size.  A row is charged 2^j entries for
+# each child at level j, of its own pairs and of the shared prefixes,
+# and is never split; for an N-element table that is at most
+# N! * 2^(N-1) entries at the last level (322,560 for N = 7).
 _SEARCH_ENTRIES = 1 << 15
 # _FREE_BITS[mask] lists the bits 1 << e of the elements e < 8 not in
 # mask, in increasing order (zero-padded).
@@ -201,92 +205,119 @@ def automorphisms(rho_bytes: bytes, n: int):
 
 def anchored_forms(tables, parent_bytes: bytes):
     """The canonical forms and automorphism group orders of the rows of
-    a block of one-element extension tables of a canonical parent whose
-    lex-min form starts with the parent, as (forms, aut): a (m, 2^(n+1))
-    uint8 matrix and m orders, in row order.  tables is a 2-D uint8
-    array whose rows all begin with parent_bytes, the parent's n-element
+    a block of one-element extension tables of a parent whose lex-min
+    form starts with the parent, as (forms, aut): a (m, 2^(n+1)) uint8
+    matrix and m orders, in row order.  tables is a 2-D uint8 array
+    whose rows all begin with parent_bytes, the parent's n-element
     table.
 
     The same forms and orders as canonical_bytes, kept where
     cb[:2^n] == parent_bytes, found by one search over ordered label
-    prefixes for the whole block (_anchored_search)."""
+    prefixes for the whole block.  Prefixes that label old elements only
+    read the parent alone, so they are found once (_shared_prefixes);
+    only prefixes holding the new element are carried per row
+    (_anchored_search).  If the parent is not canonical, no row is."""
     tables = np.ascontiguousarray(tables)
     parent = np.frombuffer(parent_bytes, dtype=np.uint8)
     if (tables.dtype != np.uint8 or tables.ndim != 2
             or tables.shape[1] != 2 * len(parent)
             or not (tables[:, :len(parent)] == parent).all()):
         raise ValueError("rows must be uint8 extension tables of the parent")
-    rows = np.arange(len(tables))
-    return _anchored_search(tables.ravel(), parent, rows,
-                            np.zeros((len(tables), 1), dtype=np.uint8))
+    shared = _shared_prefixes(parent, parent_bytes)
+    rows = np.arange(len(tables) if shared else 0)
+    return _anchored_search(tables.ravel(), parent, shared, rows, rows[:0],
+                            np.empty((0, 1), dtype=np.uint8))
 
 
-def _anchored_search(flat, parent, row, img):
-    """anchored_forms over the (row, prefix) pairs of one level.
+def _shared_prefixes(parent, parent_bytes):
+    """[A_0, ..., A_n] for a parent of n elements, or None if it is not
+    canonical.  A_j holds, as (a_j, 2^j) uint8 images, the ordered
+    prefixes of j old elements that read the parent exactly on the new
+    masks below 2^j: A_0 is [[0]] and A_n is Aut(parent).  Such a prefix
+    keeps the singleton ranks sorted, so it begins a candidate
+    relabeling (_candidates); candidates sharing it are adjacent, and
+    one reading below the parent shows that it is not canonical."""
+    n = len(parent).bit_length() - 1
+    gather, _sigmas = _candidates(n, _singleton_ranks(n)(parent_bytes))
+    reads = parent[gather]
+    first = (reads != parent).argmax(axis=1)
+    read, want = reads[np.arange(len(reads)), first], parent[first]
+    if (read < want).any():
+        return None
+    first[read == want] = len(parent)  # reads the whole parent
+    levels = []
+    for j in range(n + 1):
+        pre = gather[first >= 1 << j, :1 << j]
+        levels.append(pre[np.concatenate(
+            ([True], (pre[1:] != pre[:-1]).any(axis=1)))])
+    return levels
 
-    A pair is an ordered prefix of j new labels for one row, held as its
-    image: img[p, m] is the old mask that new mask m < 2^j stands for.
-    Level j + 1 gives each pair every unused element as its next label
-    and reads the table at the new masks [2^j, 2^(j+1)), which depend on
-    those j + 1 labels only, as big-endian words of up to 8 entries.  In
-    the parent's half a pair reading below the parent rejects its row,
-    and one reading above it is dropped; the identity prefix reads the
-    parent itself, so every row left has a pair.  The last level then
-    keeps each row's lex-min pairs, whose count is the aut order.
-    Pairs stay grouped by row, and a level that would read more than
-    _SEARCH_ENTRIES entries is split between the rows."""
+
+def _anchored_search(flat, parent, shared, rows, row, img):
+    """anchored_forms at level j, over the live rows (increasing) and
+    the (row, img) pairs: ordered prefixes of j new labels of one row
+    that label the new element, each held as its image (img[p, m] is the
+    old mask that new mask m < 2^j stands for), in no particular order.
+
+    A pair's children give label j to each unused element; each live
+    row also has a child for each shared prefix a of shared[j] that
+    gives label j to the new element, reading the row's second half at
+    a[m] + 2^n.  A child reads the new masks [2^j, 2^(j+1)), as
+    big-endian words of up to 8 entries.  In the parent's half a child
+    below the parent rejects its row, one equal to it is a pair of level
+    j + 1, and one above is dropped.  At the last level a row's lex-min
+    child is its form, and the children that reach it number the aut
+    order.  A level that would read more than _SEARCH_ENTRIES entries is
+    split between the rows."""
     half = len(parent)
     size = 2 * half
-    if not len(row):
-        return np.empty((0, size), dtype=np.uint8), row.copy()
+    if not len(rows):
+        return np.empty((0, size), dtype=np.uint8), rows.copy()
     width = img.shape[1]
     left = size.bit_length() - width.bit_length()  # labels not yet given
-    if len(row) * left * width > _SEARCH_ENTRIES and row[0] != row[-1]:
-        mid = row[len(row) // 2]
-        cut = np.searchsorted(row, mid) or np.searchsorted(row, mid, "right")
-        parts = (_anchored_search(flat, parent, row[:cut], img[:cut]),
-                 _anchored_search(flat, parent, row[cut:], img[cut:]))
-        return tuple(np.concatenate(a) for a in zip(*parts))
-    # each pair's unused elements as bits, in increasing order, and the
-    # entries its children read: mask X of the level is an old mask
-    # img[m] plus one new bit
-    bits = _FREE_BITS[img[:, -1], :left]
-    base = img + (row * size)[:, None]
-    entries = flat[base[:, None, :] + bits[:, :, None]]
-    word = f">u{min(width, 8)}"
+    a = shared[width.bit_length() - 1]
+    if (len(row) * left + len(rows) * len(a)) * width > _SEARCH_ENTRIES \
+            and len(rows) > 1:
+        mid = len(rows) // 2
+        low = row < rows[mid]
+        parts = [_anchored_search(flat, parent, shared, part, row[sel],
+                                  img[sel])
+                 for part, sel in ((rows[:mid], low), (rows[mid:], ~low))]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    # each child as its prefix's image, its new bit and its row: mask X
+    # of the level is the old mask base[m] plus the bit
+    base = np.concatenate((img.repeat(left, axis=0),
+                           a[None].repeat(len(rows), 0).reshape(-1, width)))
+    bit = np.concatenate((_FREE_BITS[img[:, -1], :left].ravel(),
+                          np.full(len(rows) * len(a), half, dtype=np.uint8)))
+    own = np.concatenate((row.repeat(left), rows.repeat(len(a))))
+    entries = flat[base + (own * size + bit)[:, None]]
     if width < half:
-        words = entries.reshape(len(row) * left, width).view(word)
+        word = f">u{min(width, 8)}"
+        words = entries.view(word)
         target = parent[width:2 * width].view(word)
-        less = np.zeros(len(words), dtype=bool)
-        same = np.ones(len(words), dtype=bool)
-        for col, t in enumerate(target):
-            less |= same & (words[:, col] < t)
-            same &= words[:, col] == t
+        less, same = words[:, 0] < target[0], words[:, 0] == target[0]
+        for col in range(1, len(target)):
+            less |= same & (words[:, col] < target[col])
+            same &= words[:, col] == target[col]
         dead = np.zeros(len(flat) // size, dtype=bool)
-        dead[row[less.reshape(-1, left).any(axis=1)]] = True
-        pair, child = np.nonzero(same.reshape(-1, left) & ~dead[row, None])
-        kept = img[pair]
+        dead[own[less]] = True
+        keep = same & ~dead[own]
+        kept = base[keep]
         return _anchored_search(
-            flat, parent, row[pair],
-            np.concatenate((kept, kept | bits[pair, child, None]), axis=1))
-    # last level: one label left per pair, and the second half decides
-    entries = entries.reshape(len(row), half)
-    words = entries.view(word)
-    live = np.arange(len(row))
-    for col in range(words.shape[1]):
-        at = row[live]
-        head = np.diff(at, prepend=-1) != 0
-        if head.all():
-            break
-        w = words[live, col]
-        low = np.minimum.reduceat(w, np.flatnonzero(head))
-        live = live[w == low[np.cumsum(head) - 1]]
-    at = row[live]
-    head = np.flatnonzero(np.diff(at, prepend=-1))
-    forms = np.concatenate(
-        (np.broadcast_to(parent, (len(head), half)), entries[live[head]]),
-        axis=1)
-    return forms, np.diff(head, append=len(at))
+            flat, parent, shared, rows[~dead[rows]], own[keep],
+            np.concatenate((kept, kept | bit[keep, None]), axis=1))
+    # last level: sorted by row, then by bytes, a row's first child is
+    # its lex-min
+    order = np.lexsort((entries.view(f"V{half}").ravel(), own))
+    own, entries = own[order], entries[order]
+    head = np.ones(len(own), dtype=bool)
+    head[1:] = own[1:] != own[:-1]
+    start = np.flatnonzero(head)
+    best = entries[start]
+    ties = (entries == best[head.cumsum() - 1]).all(axis=1)
+    forms = np.concatenate((np.broadcast_to(parent, best.shape), best), axis=1)
+    return forms, np.add.reduceat(ties, start, dtype=np.intp)
 
 
 def canonical_form(table: RankTable) -> CanonicalForm:

@@ -363,7 +363,9 @@ def enumerate_all(n_max: int, k: int, jobs: int = 1):
 def count_table(catalogs, labeled: bool = False):
     """rank x n matrix of counts; rows 0..k*n_max, one column per catalog
     in order of n.  The catalogs must share one k and have distinct n;
-    otherwise ValueError."""
+    otherwise ValueError, as for no catalogs at all."""
+    if not catalogs:
+        raise ValueError("no catalogs")
     ks = sorted({c.k for c in catalogs})
     if len(ks) > 1:
         raise ValueError(f"catalogs of mixed k: {ks}")

@@ -2,7 +2,8 @@
 pass/fail line (run with -s to see the lines for passing tests).
 
 Criterion 3 builds the n=6 catalog once (about 12 s, single core)
-and checks its sha256.
+and checks its sha256; a fixed sample of its entries is then stepped
+to n=7 (about 6 s) and its records are pinned.
 Criterion 10 reproduces the n=7 totals only when POLYCAT_LONG_RUN is
 set; that run takes days and is skipped otherwise.
 The labeled totals are also checked a second way, by partition
@@ -25,6 +26,7 @@ from polycat.extensions import (
 )
 from polycat.gen import (
     duality_check,
+    extensions_of_parent,
     filter_count,
     generate_next,
     generate_next_stream,
@@ -51,6 +53,10 @@ N6_SHA256 = "b066e6df13a160af8fb14f9ea8e63ee1609f91022f9cd81abcdf8b612e613e39"
 # in catalog order
 X5_PARTITIONS_SHA256 = (
     "9ba108ea906f71929f673510e3dff00b8d028c4abcd2732fc3394444b3c9bbbd")
+# sha256 over the concatenated records (extensions_of_parent) of every
+# 5000th n=6 entry from offset 7, 19 parents, stepped to n=7
+N7_SAMPLE_SHA256 = (
+    "78a88a8e8280cd0c60f6f78ad73531beb6c2b55d8f3bc2a0235285877bbd036f")
 
 
 def _report(num, ok, detail=""):
@@ -96,6 +102,19 @@ def test_criterion_03_n6_catalog(cats6):
           and _catalog_sha256(cats[6]) == N6_SHA256
           and elapsed < 3600)
     _report(3, ok, f"count={len(cats[6])} time={elapsed:.0f}s")
+
+
+def test_n7_sample_records(cats6):
+    cats, _ = cats6
+    digest = hashlib.sha256()
+    records = partitions = 0
+    for e in cats[6].entries[7::5000]:
+        acc, parts = extensions_of_parent(e.table)
+        digest.update(acc.tobytes())
+        records += len(acc)
+        partitions += parts
+    assert (records, partitions) == (41654, 892650)
+    assert digest.hexdigest() == N7_SAMPLE_SHA256
 
 
 def _labeled_by_partition_counting(cat):

@@ -150,6 +150,31 @@ class TestAnchoredForms:
             with pytest.raises(ValueError):
                 anchored_forms(bad, parent)
 
+    def test_empty_block(self, cats3):
+        for cat in cats3:
+            parent = cat.entries[-1].table
+            empty = np.empty((0, 2 << parent.n), dtype=np.uint8)
+            forms, aut = anchored_forms(empty, bytes(parent.rho))
+            assert forms.dtype == np.uint8
+            assert forms.shape == (0, 2 << parent.n) and len(aut) == 0
+
+    def test_parent_not_canonical_keeps_no_row(self, cats5):
+        # the extensions of a relabeled parent that is not the canonical
+        # one all have canonical forms starting below it
+        parents = 0
+        for e in cats5[4].entries[::5]:
+            parent = relabel(e.table, (1, 2, 3, 0))
+            if parent.rho == e.table.rho:
+                continue
+            lattice = flats(parent)
+            tables = extension_builder(parent, lattice)(
+                enumerate_extensible_partitions(parent, lattice))
+            forms, aut = anchored_forms(tables, bytes(parent.rho))
+            assert len(tables) > 0
+            assert forms.shape == (0, 2 << parent.n) and len(aut) == 0
+            parents += 1
+        assert parents >= 40
+
 
 class TestLabeledCount:
     def test_orbit_sizes(self):

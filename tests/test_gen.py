@@ -228,14 +228,43 @@ class TestGeneration:
         assert {len(pb) for _t, pb, _e in blocks} == {1, 2, 4, 8, 16, 32, 64}
         assert sum(len(e) for _t, _pb, e in blocks) < \
             sum(len(t) for t, _pb, _e in blocks)
-        # the module's budget, then one so small that every level of a
-        # block with two rows or more is split between its rows
-        for budget in (canon._SEARCH_ENTRIES, 1):
+        # the module's budget, one in the middle, where calls split off a
+        # level hold both pairs of their own and the shared prefixes, and
+        # one so small that every level of a block with two rows or more
+        # is split between its rows
+        search, levels, split_with_pairs = canon._anchored_search, [], []
+
+        def spy(flat, parent, shared, rows, row, img):
+            if levels and levels[-1] == img.shape[1]:
+                split_with_pairs.append(len(row) > 0)
+            levels.append(img.shape[1])
+            try:
+                return search(flat, parent, shared, rows, row, img)
+            finally:
+                levels.pop()
+
+        monkeypatch.setattr(canon, "_anchored_search", spy)
+        for budget in (canon._SEARCH_ENTRIES, 64, 1):
             monkeypatch.setattr(canon, "_SEARCH_ENTRIES", budget)
+            split_with_pairs.clear()
             for tables, pb, expect in blocks:
                 forms, aut = canon.anchored_forms(tables, pb)
                 assert forms.dtype == np.uint8
                 assert list(zip(map(bytes, forms), aut.tolist())) == expect
+            if budget == 64:
+                assert any(split_with_pairs)
+
+    def test_shared_prefixes_end_in_the_automorphisms(self, reference_parents):
+        for parent in reference_parents:
+            pb = bytes(parent.rho)
+            levels = canon._shared_prefixes(
+                np.frombuffer(pb, dtype=np.uint8), pb)
+            assert [a.shape[1] for a in levels] == \
+                [1 << j for j in range(parent.n + 1)]
+            assert len(levels[0]) == 1
+            assert len(levels[-1]) == canonical_form(parent).aut_order
+            assert set(map(bytes, levels[-1])) == \
+                set(map(bytes, canon.automorphisms(pb, parent.n)))
 
     def test_fold_keeps_one_row_per_orbit(self, cats5):
         parents = [e.table for e in cats5[4].entries if e.aut_order > 1]
@@ -301,6 +330,10 @@ class TestCountsAndChecks:
         matroids = enumerate_all(2, 1)
         with pytest.raises(ValueError, match="mixed k"):
             count_table(list(cats3) + [matroids[2]])
+
+    def test_count_table_rejects_no_catalogs(self):
+        with pytest.raises(ValueError, match="no catalogs"):
+            count_table([])
 
     def test_count_table_rejects_repeated_n(self, cats3):
         with pytest.raises(ValueError, match="more than one catalog"):
