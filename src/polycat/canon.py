@@ -1,15 +1,19 @@
 """Canonical labeling of polymatroids and the flat-graph encoding.
 
 The canonical representative is the lexicographically minimal rank-value
-sequence (increasing-bitmask order) over all n! relabelings.  There are
-two entry points:
+sequence (increasing-bitmask order) over all n! relabelings.  Only the
+relabelings that sort the singleton ranks are compared.  There are three
+entry points:
 
-- canonical_bytes labels one table.  Only the relabelings that sort the
-  singleton ranks are compared, through a gather matrix cached per
-  singleton-rank vector; large candidate sets are narrowed eight table
-  entries at a time, gathering each next word for the surviving rows
-  only.  Class labeling (canonical_form, the oracle, duality and the
-  catalog checks) goes through it.
+- canonical_forms labels a block of same-n tables in one call: each row
+  is paired with its candidate relabelings, and the live (row,
+  candidate) pairs are narrowed eight table entries at a time (_narrow),
+  in runs of rows under a fixed entry budget.  Class labeling in bulk
+  (the oracle's class count, duality) goes through it.
+- canonical_bytes labels one table: up to _SLICE_ROWS candidates as one
+  byte string each, through a gather matrix cached per singleton-rank
+  vector, and more by the same narrowing on its one row.
+  canonical_form, isomorphic and the catalog checks go through it.
 - anchored_forms decides a whole block of one-element extensions of one
   canonical parent: one search over ordered label prefixes, level by
   level for every row at once, keeps the rows whose canonical form
@@ -46,6 +50,13 @@ _SLICE_ROWS = 200
 # and is never split; for an N-element table that is at most
 # N! * 2^(N-1) entries at the last level (322,560 for N = 7).
 _SEARCH_ENTRIES = 1 << 15
+# Table entries canonical_forms' (row, candidate) pairs read per word,
+# eight per pair: the rows are taken in runs whose pairs stay under it,
+# so that its temporaries (per pair its candidate, row offset, word and
+# int32 gather index, near 8 bytes per entry) are bounded whatever the
+# block size.  A row is never split; at n = 8 one holds at most 8! pairs
+# (322,560 entries).
+_LABEL_ENTRIES = 1 << 15
 # _FREE_BITS[mask] lists the bits 1 << e of the elements e < 8 not in
 # mask, in increasing order (zero-padded).
 _FREE_BITS = np.array([[1 << e for e in range(8) if not m >> e & 1]
@@ -126,33 +137,44 @@ def _singleton_ranks(n: int):
 
 
 @lru_cache(maxsize=128)
-def _candidates(n: int, singles: tuple):
+def _candidate_ids(n: int, singles: tuple):
     """The relabelings that can reach the lex-min table of one with
-    singleton ranks `singles`: their gather rows as a (c, 2^n) uint8
-    matrix, and their old-to-new permutations sigma as a (c, n) uint8
-    matrix.
+    singleton ranks `singles`, as increasing row indices into
+    _perm_tables(n).
 
     The lex-min table has non-decreasing singleton ranks (swapping two
     adjacent labels would otherwise lower the first changed entry), so
     only the c = prod(m!) relabelings sorting the singleton ranks, m
     over their multiplicities, can win; every automorphism of the winner
-    is among them too.  Rows keep the lexicographic order of the
-    permutations.  Equal singleton ranks make every relabeling a
-    candidate, and the entry shares _perm_tables' arrays; any other
-    entry holds c * (2^n + n) bytes of its own, at most
-    (n-1)! * (2^n + n) (1.3 MB at n=8).  The cache keeps at most 128
-    entries.  Generation reaches it only through automorphisms, for
-    canonical parents, whose singleton ranks are sorted, so it needs
-    few.
+    is among them too.  An entry holds 8c bytes, at most 8 * n!
+    (322 KB at n=8).
     """
-    idx, sigmas = _perm_tables(n)
+    idx, _sigmas = _perm_tables(n)
     if n < 2:
-        return idx, sigmas
+        return np.arange(len(idx))
     rank_of = np.zeros(1 << n, dtype=np.uint8)
     for j, r in enumerate(singles):
         rank_of[1 << j] = r
     seq = rank_of[idx[:, [1 << j for j in range(n)]]]
-    live = np.flatnonzero(np.all(seq[:, :-1] <= seq[:, 1:], axis=1))
+    return np.flatnonzero(np.all(seq[:, :-1] <= seq[:, 1:], axis=1))
+
+
+@lru_cache(maxsize=128)
+def _candidates(n: int, singles: tuple):
+    """The _candidate_ids relabelings of a table with singleton ranks
+    `singles`: their gather rows as a (c, 2^n) uint8 matrix, and their
+    old-to-new permutations sigma as a (c, n) uint8 matrix, in the
+    lexicographic order of the permutations.
+
+    Equal singleton ranks make every relabeling a candidate, and the
+    entry shares _perm_tables' arrays; any other entry holds
+    c * (2^n + n) bytes of its own, at most (n-1)! * (2^n + n) (1.3 MB
+    at n=8).  The cache keeps at most 128 entries.  Generation reaches
+    it only through automorphisms, for canonical parents, whose
+    singleton ranks are sorted, so it needs few.
+    """
+    idx, sigmas = _perm_tables(n)
+    live = _candidate_ids(n, singles)
     if len(live) == len(idx):
         return idx, sigmas
     return idx[live], sigmas[live]
@@ -163,32 +185,127 @@ def canonical_bytes(rho_bytes: bytes, n: int):
     for a table whose entries all fit in one byte.
 
     Up to _SLICE_ROWS candidate relabelings, the minimum is taken over
-    one byte string per candidate.  More candidates are narrowed eight
-    entries at a time: the surviving rows gather their next eight
-    entries, read as one big-endian word, and only the rows at the
-    column minimum survive, until one row is left or the table ends.
-    The survivors are the automorphisms; the first gives sigma.
+    one byte string per candidate; more are narrowed as canonical_forms
+    narrows a run of one row (_narrow).  The first candidate reaching
+    the minimum gives sigma, and the candidates reaching it number the
+    automorphisms.
     """
     gather, sigmas = _candidates(n, _singleton_ranks(n)(rho_bytes))
     rho = np.frombuffer(rho_bytes, dtype=np.uint8)
+    if len(sigmas) > _SLICE_ROWS:
+        idx, sigmas = _perm_tables(n)
+        ids = _candidate_ids(n, _singleton_ranks(n)(rho_bytes))
+        first, aut = _narrow(rho, idx, ids, np.array([len(ids)]))
+        return (rho[idx[first[0]]].tobytes(), tuple(sigmas[first[0]].tolist()),
+                int(aut[0]))
     size = 1 << n
-    if len(sigmas) <= _SLICE_ROWS:
-        buf = rho[gather].tobytes()
-        views = [buf[i * size:(i + 1) * size] for i in range(len(sigmas))]
-        best = min(views)
-        sigma = sigmas[views.index(best)]
-        return best, tuple(sigma.tolist()), views.count(best)
-    rows = None
-    for w in range(0, size, 8):
-        cols = gather[:, w:w + 8] if rows is None else gather[rows, w:w + 8]
-        words = rho[cols].view(">u8").ravel()
-        keep = words == words.min()
-        rows = np.flatnonzero(keep) if rows is None else rows[keep]
-        if len(rows) == 1:
+    buf = rho[gather].tobytes()
+    views = [buf[i * size:(i + 1) * size] for i in range(len(sigmas))]
+    best = min(views)
+    sigma = sigmas[views.index(best)]
+    return best, tuple(sigma.tolist()), views.count(best)
+
+
+def canonical_forms(tables, n: int):
+    """The canonical forms of a block of n-element tables, one per row
+    of a (R, 2^n) integer matrix, as (forms, sigma, aut): a (R, 2^n)
+    uint8 matrix of canonical rank sequences, a (R, n) uint8 matrix of
+    old-to-new winning permutations and R automorphism group orders, in
+    row order.  Each row is what canonical_bytes gives for that table.
+    Ranks must fit in one byte; ValueError otherwise.
+
+    Each row is paired with its own _candidate_ids relabelings, found
+    once per singleton-rank vector, and the pairs are narrowed by
+    _narrow in runs of rows whose pairs read at most _LABEL_ENTRIES
+    entries per word; a row is never split.
+    """
+    tables = np.asarray(tables)
+    size = 1 << n
+    if (tables.ndim != 2 or tables.shape[1] != size
+            or not np.issubdtype(tables.dtype, np.integer)):
+        raise ValueError(f"tables must be integer rows of {size} ranks")
+    if tables.dtype != np.uint8:
+        if tables.size and not 0 <= tables.min() <= tables.max() <= 255:
+            raise ValueError("ranks must fit in one byte")
+        tables = tables.astype(np.uint8)
+    idx, sigmas = _perm_tables(n)
+    # row r's candidates are flat_ids[offsets[group[r]]:][:count[r]]
+    singles = np.zeros((len(tables), 8), dtype=np.uint8)
+    singles[:, :n] = tables[:, [1 << j for j in range(n)]]
+    keys, group = np.unique(singles.view(">u8").ravel(), return_inverse=True)
+    ids = [_candidate_ids(n, tuple(k.to_bytes(8, "big")[:n]))
+           for k in keys.tolist()]
+    lengths = np.array([len(i) for i in ids], dtype=np.intp)
+    offsets = np.cumsum(lengths) - lengths
+    flat_ids = np.concatenate([np.zeros(0, dtype=np.int32), *ids],
+                              dtype=np.int32)
+    count = lengths[group]
+    forms = np.empty_like(tables)
+    first = np.empty(len(tables), dtype=np.intp)
+    aut = np.empty(len(tables), dtype=np.intp)
+    # a run ends before the row that would take its pairs past the
+    # budget, and always after its first row
+    ends = np.cumsum(count)
+    lo = 0
+    while lo < len(tables):
+        limit = (ends[lo - 1] if lo else 0) + _LABEL_ENTRIES // min(size, 8)
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        counts = count[lo:hi]
+        start = np.cumsum(counts) - counts
+        cand = flat_ids[(offsets[group[lo:hi]] - start).repeat(counts)
+                        + np.arange(counts.sum())]
+        first[lo:hi], aut[lo:hi] = _narrow(tables[lo:hi].ravel(), idx, cand,
+                                           counts)
+        forms[lo:hi] = np.take_along_axis(tables[lo:hi], idx[first[lo:hi]],
+                                          axis=1)
+        lo = hi
+    return forms, sigmas[first], aut
+
+
+def _narrow(flat, idx, cand, counts):
+    """The lex-min relabeling of each table of a run, as (each row's
+    first candidate reaching its minimum, how many reach it).  flat
+    holds the run's tables one after another, and cand each row's
+    candidates in increasing order, counts[r] of them for row r, as row
+    indices into idx = _perm_tables(n)[0].
+
+    The live (row, candidate) pairs are narrowed one word of eight
+    entries at a time: every pair reads its next word as one big-endian
+    integer, and only the pairs at their row's minimum survive, until
+    every row has one pair left or the table ends.  The first word reads
+    the masks of labels 0-2 only, so the adjacent candidates of a row
+    that share those labels, (n-3)! in the permutations' order, read it
+    once.
+    """
+    size = idx.shape[1]
+    n = size.bit_length() - 1
+    width = min(size, 8)
+    word = f">u{width}"
+    # each pair's row offset in flat; a run of one row has none
+    base = None
+    if len(counts) > 1:
+        base = (np.arange(len(counts), dtype=np.int32) * size).repeat(counts)
+    start = counts.cumsum() - counts
+    for w in range(0, size, width):
+        if len(cand) == len(counts):
             break
-    first = rows[0]
-    return (rho[gather[first]].tobytes(), tuple(sigmas[first].tolist()),
-            len(rows))
+        read = spread = slice(None)
+        if w == 0 and size > 8:
+            head = np.ones(len(cand), dtype=bool)
+            head[1:] = np.diff(cand // math.factorial(n - 3)) != 0
+            head[start] = True
+            read, spread = np.flatnonzero(head), head.cumsum() - 1
+        at = idx[cand[read], w:w + width]
+        if base is not None:
+            at = at + base[read, None]
+        words = flat[at].view(word).ravel()[spread]
+        keep = words == np.minimum.reduceat(words, start).repeat(counts)
+        if not keep.all():
+            counts = np.add.reduceat(keep, start)
+            start = counts.cumsum() - counts
+            cand = cand[keep]
+            base = base if base is None else base[keep]
+    return cand[start], counts
 
 
 def automorphisms(rho_bytes: bytes, n: int):

@@ -161,14 +161,24 @@ def modular_defect(table: RankTable, x: int, y: int) -> int:
     return rho[x] + rho[y] - rho[x | y] - rho[x & y]
 
 
+def k_duals(rows, k: int):
+    """The k-duals of a block of same-n tables, one per row of an
+    integer matrix: rho*(X) = k|X| + rho(S-X) - rho(S), where S - X is
+    the mirrored mask.  Byte ranks give int16 rows while k * n stays
+    below 2^14, and any other rows int64."""
+    rows = np.asarray(rows)
+    size = rows.shape[1]
+    small = rows.dtype == np.uint8 and k * (size.bit_length() - 1) < 1 << 14
+    duals = rows[:, ::-1].astype(np.int16 if small else np.int64)
+    duals -= rows[:, -1:]
+    duals += [k * m.bit_count() for m in range(size)]
+    return duals
+
+
 def k_dual(table: RankTable) -> RankTable:
     """The k-dual rho*(X) = k|X| + rho(S-X) - rho(S); an involution."""
-    rho = table.rho
-    full = table.full
-    r = rho[full]
-    dual = tuple(table.k * m.bit_count() + rho[full ^ m] - r
-                 for m in range(1 << table.n))
-    return RankTable(table.n, table.k, dual)
+    dual = k_duals([table.rho], table.k)[0]
+    return RankTable(table.n, table.k, tuple(dual.tolist()))
 
 
 def _expand_mask(m: int, bit: int) -> int:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import canon
-from .core import MAX_N, RankTable, flats, k_dual, min_element_rank
+from .core import MAX_N, RankTable, flats, k_duals, min_element_rank
 from .extensions import enumerate_extensible_partitions, extension_builder
 
 # Partition rows folded and built at a time in extensions_of_parent, so
@@ -407,12 +407,21 @@ def filter_count(catalog: Catalog, min_rank: int = 2) -> int:
 
 def duality_check(catalog: Catalog):
     """None if k-duality permutes the catalog and the per-rank histogram
-    is palindromic; otherwise the offending entry or rank."""
-    keys = {e.table.rho for e in catalog.entries}
-    for e in catalog.entries:
-        dual = canon.canonical_form(k_dual(e.table)).table
-        if dual.rho not in keys:
-            return ("dual-not-in-catalog", e.table.rho)
+    is palindromic; otherwise the offending entry (the first in catalog
+    order whose dual is missing) or rank.  The duals are labeled in one
+    canonical_forms call and looked up among the sorted catalog rows."""
+    size = 1 << catalog.n
+    tables = np.frombuffer(
+        b"".join(bytes(e.table.rho) for e in catalog.entries),
+        dtype=np.uint8).reshape(-1, size)
+    duals, _sigma, _aut = canon.canonical_forms(
+        k_duals(tables, catalog.k), catalog.n)
+    keys = np.sort(tables.view(f"V{size}").ravel())
+    duals = duals.view(f"V{size}").ravel()
+    at = np.minimum(np.searchsorted(keys, duals), len(keys) - 1)
+    missing = np.flatnonzero(keys[at] != duals)
+    if len(missing):
+        return ("dual-not-in-catalog", catalog.entries[missing[0]].table.rho)
     counts = catalog.rank_counts()
     for r in range(len(counts)):
         if counts[r] != counts[len(counts) - 1 - r]:

@@ -190,15 +190,17 @@ def cross_check(catalogs, n_max: int | None = None,
 
 def _brute_class_count(n: int, k: int) -> int:
     """Isomorphism classes by grouping the brute enumeration under
-    canonical labeling (no canonical-deletion logic involved)."""
+    canonical labeling (no canonical-deletion logic involved), one
+    canonical_forms call per block of complete tables.  Ranks must fit
+    in one byte; ValueError otherwise."""
     from . import canon
 
     masks = sorted(range(1, 1 << n), key=int.bit_count)
     seen = set()
 
     def leaf(rows):
-        seen.update(canon.canonical_bytes(r.tobytes(), n)[0]
-                    for r in rows.astype(np.uint8))
+        forms, _sigma, _aut = canon.canonical_forms(rows, n)
+        seen.update(map(bytes, forms))
 
     _search([0] * (1 << n), masks, n, k, leaf)
     return len(seen)

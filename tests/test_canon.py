@@ -7,12 +7,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from polycat import RankTable, flats, k_dual
+from polycat import RankTable, canon, flats, k_dual
 from polycat.canon import (
     _SLICE_ROWS,
     anchored_forms,
     apply_mask_perm,
     canonical_form,
+    canonical_forms,
     flat_graph,
     isomorphic,
     labeled_count,
@@ -122,6 +123,97 @@ class TestCanonicalForm:
     def test_dual_has_same_aut_order(self, cats5):
         for e in cats5[4].entries:
             assert canonical_form(k_dual(e.table)).aut_order == e.aut_order
+
+
+class TestCanonicalForms:
+    @staticmethod
+    def _check_block(tables):
+        """Label tables in one call and check every row against
+        _brute_minimum."""
+        n = tables[0].n
+        block = np.array([t.rho for t in tables], dtype=np.uint8)
+        forms, sigma, aut = canonical_forms(block, n)
+        assert forms.shape == block.shape and forms.dtype == np.uint8
+        assert sigma.shape == (len(tables), n) and len(aut) == len(tables)
+        for t, form, s, a in zip(tables, forms, sigma.tolist(), aut):
+            best, brute_aut, _late = _brute_minimum(t)
+            assert tuple(form.tolist()) == best
+            assert a == brute_aut
+            assert relabel(t, s) == RankTable(n, t.k, best)
+
+    @staticmethod
+    def _mixed_blocks(cats5, n6_tables):
+        """Per n, the catalog entries under a random relabeling and
+        their duals (several singleton-rank vectors in one block)."""
+        rng = random.Random(5)
+        blocks = []
+        for cat in cats5:
+            block = []
+            for e in cat.entries[::3] if cat.n == 5 else cat.entries:
+                perm = list(range(cat.n))
+                rng.shuffle(perm)
+                block += [relabel(e.table, perm), k_dual(e.table)]
+            blocks.append(block)
+        blocks.append(n6_tables)
+        return blocks
+
+    def test_blocks_match_brute_minimum(self, cats5, n6_tables):
+        for block in self._mixed_blocks(cats5, n6_tables):
+            singles = {tuple(t.rho[1 << j] for j in range(t.n))
+                       for t in block}
+            assert len(singles) > 1 or block[0].n == 0
+            self._check_block(block)
+            # one-row blocks
+            for t in block[::97]:
+                self._check_block([t])
+
+    def test_runs_of_any_size(self, cats5, n6_tables, monkeypatch):
+        # one row per run, and runs of a few rows: the same forms
+        blocks = self._mixed_blocks(cats5, n6_tables)[3:]
+        whole = [canonical_forms(np.array([t.rho for t in b]), b[0].n)
+                 for b in blocks]
+        for budget in (1, 2048):
+            monkeypatch.setattr(canon, "_LABEL_ENTRIES", budget)
+            for b, ref in zip(blocks, whole):
+                got = canonical_forms(np.array([t.rho for t in b]), b[0].n)
+                for x, y in zip(got, ref):
+                    assert np.array_equal(x, y)
+
+    def test_matches_canonical_form(self, n6_tables):
+        forms, sigma, aut = canonical_forms(
+            np.array([t.rho for t in n6_tables]), 6)
+        for t, form, s, a in zip(n6_tables, forms, sigma, aut):
+            cf = canonical_form(t)
+            assert cf.table.rho == tuple(form.tolist())
+            assert cf.perm == tuple((s + 1).tolist()) and cf.aut_order == a
+
+    def test_empty_block(self):
+        for n in range(4):
+            forms, sigma, aut = canonical_forms(
+                np.empty((0, 1 << n), dtype=np.uint8), n)
+            assert forms.shape == (0, 1 << n) and sigma.shape == (0, n)
+            assert len(aut) == 0
+
+    @pytest.mark.parametrize("rows", [[[0, 256]], [[0, -1]], [[0, 1000]]])
+    def test_ranks_beyond_a_byte_rejected(self, rows):
+        with pytest.raises(ValueError, match="one byte"):
+            canonical_forms(np.array(rows), 1)
+
+    def test_wider_integer_rows(self, cats3):
+        for cat in cats3:
+            block = np.array([e.table.rho for e in cat.entries])
+            for dtype in (np.int16, np.int64):
+                got = canonical_forms(block.astype(dtype), cat.n)
+                ref = canonical_forms(block.astype(np.uint8), cat.n)
+                for x, y in zip(got, ref):
+                    assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("rows, n", [(np.zeros((2, 4)), 2),
+                                         (np.zeros((2, 8), dtype=int), 2),
+                                         (np.zeros(4, dtype=int), 2)])
+    def test_bad_shapes_rejected(self, rows, n):
+        with pytest.raises(ValueError):
+            canonical_forms(rows, n)
 
 
 class TestIsomorphic:

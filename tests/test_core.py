@@ -16,6 +16,7 @@ from polycat import (
     parse_polymatroid,
     validate,
 )
+from polycat.core import k_duals
 from polycat.oracle import brute_labeled_count
 
 
@@ -31,6 +32,13 @@ def all_tables(n, k=2):
 
     _search([0] * (1 << n), range(1, 1 << n), n, k, leaf)
     return out
+
+
+def _dual_by_formula(table):
+    """rho*(X) = k|X| + rho(S - X) - rho(S), one mask at a time."""
+    full = table.full
+    return tuple(table.k * m.bit_count() + table.rho[full ^ m]
+                 - table.rho[full] for m in range(full + 1))
 
 
 class TestValidate:
@@ -227,6 +235,30 @@ class TestKDual:
                 d = k_dual(e.table)
                 assert validate(d) is None
                 assert k_dual(d).rho == e.table.rho
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+    def test_block_duals_match_k_dual(self, cats5, dtype):
+        tables = [e.table for cat in cats5 for e in cat.entries]
+        tables += all_tables(3, 1)
+        for n in range(6):
+            for k in (1, 2):
+                block = [t for t in tables if t.n == n and t.k == k]
+                if not block:
+                    continue
+                duals = k_duals(np.array([t.rho for t in block], dtype=dtype),
+                                k)
+                assert duals.shape == (len(block), 1 << n)
+                rows = [tuple(d) for d in duals.tolist()]
+                assert rows == [k_dual(t).rho for t in block]
+                assert rows == [_dual_by_formula(t) for t in block]
+
+    def test_block_duals_of_large_k(self):
+        # k * n too large for int16 rows: computed in int64
+        table = RankTable(3, 9000, (0,) * 8)
+        duals = k_duals(np.zeros((1, 8), dtype=np.uint8), 9000)
+        assert duals.dtype == np.int64
+        assert tuple(duals[0].tolist()) == _dual_by_formula(table)
+        assert k_dual(table).rho == _dual_by_formula(table)
 
 
 class TestMinors:

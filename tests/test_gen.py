@@ -352,6 +352,53 @@ class TestCountsAndChecks:
                         if e.table.rho != (0, 0, 0, 0)))
         assert duality_check(broken) is not None
 
+    def test_duality_check_matches_per_entry_reference(self, cats5):
+        def reference(catalog):
+            full = (1 << catalog.n) - 1
+            keys = {e.table.rho for e in catalog.entries}
+            for e in catalog.entries:
+                rho = e.table.rho
+                dual = canonical_form(RankTable(catalog.n, catalog.k, tuple(
+                    catalog.k * m.bit_count() + rho[full ^ m] - rho[full]
+                    for m in range(full + 1)))).table
+                if dual.rho not in keys:
+                    return ("dual-not-in-catalog", e.table.rho)
+            counts = catalog.rank_counts()
+            for r in range(len(counts)):
+                if counts[r] != counts[len(counts) - 1 - r]:
+                    return ("rank-histogram-asymmetry", r)
+            return None
+
+        def without(cat, drop):
+            return dataclasses.replace(cat, entries=tuple(
+                e for i, e in enumerate(cat.entries) if i not in drop))
+
+        cases = list(cats5)
+        for cat in cats5[2:]:
+            m = len(cat)
+            # entries gone from the front, the middle and the back:
+            # their duals' entries are the offenders
+            for drop in ({0}, {m // 2, m // 3, m - 1}, {m - 1}):
+                cases.append(without(cat, drop))
+            # a repeated entry off the middle rank keeps every dual but
+            # breaks the histogram
+            e = next(e for e in cat.entries
+                     if 2 * e.table.rank != cat.k * cat.n)
+            cases.append(dataclasses.replace(cat, entries=cat.entries + (e,)))
+        results = [duality_check(c) for c in cases]
+        assert results == [reference(c) for c in cases]
+        kinds = {r and r[0] for r in results}
+        assert kinds == {None, "dual-not-in-catalog",
+                         "rank-histogram-asymmetry"}
+
+    @pytest.mark.parametrize("rho", [(0, 10), (0, 300)])
+    def test_duality_check_rejects_ranks_beyond_a_byte(self, rho):
+        # the dual of (0, 10) with k = 300 has rank 290
+        cat = gen.Catalog(1, 300, (gen.CatalogEntry(RankTable(1, 300, rho),
+                                                    1),))
+        with pytest.raises(ValueError):
+            duality_check(cat)
+
 
 class TestCatalogFiles:
     def test_round_trip_byte_equal(self, cats3, tmp_path):

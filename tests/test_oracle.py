@@ -142,6 +142,18 @@ class TestBruteExtensions:
             assert t.rho[:8] == three_lines.rho
 
 
+class TestBruteClassCount:
+    def test_paper_counts(self):
+        assert [_brute_class_count(n, 2) for n in range(6)] == [
+            1, 3, 10, 40, 228, 2380]
+
+    def test_ranks_beyond_a_byte_rejected(self):
+        # ranks up to 300 would wrap modulo 256 in a byte
+        assert _brute_class_count(1, 255) == 256
+        with pytest.raises(ValueError, match="one byte"):
+            _brute_class_count(1, 300)
+
+
 class TestCrossCheck:
     def test_catalogs_pass(self, cats3):
         report = cross_check(cats3)
