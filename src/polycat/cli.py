@@ -90,9 +90,7 @@ def cmd_count(args):
         width = max(len(str(v)) for row in table for v in row) + 1
         print("rank\\n " + "".join(f"{n:>{width}}" for n in ns))
         for r, row in enumerate(table):
-            cells = "".join(
-                f"{v if v else '':>{width}}" for v in row
-            )
+            cells = "".join(f"{v if v else '':>{width}}" for v in row)
             print(f"{r:>6} {cells}")
         totals = [sum(col) for col in zip(*table)]
         print(" total " + "".join(f"{v:>{width}}" for v in totals))

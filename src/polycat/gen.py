@@ -19,7 +19,7 @@ An accepted class travels as one record, a row of a uint8 matrix: its
 rows in byte order are entries in catalog order.  One runner, _blocks,
 cuts the parents into blocks and runs them in order, serially or on a
 process pool, each block giving its records sorted.  generate_next
-merges the blocks in memory into catalog entries; generate_next_stream
+merges the blocks in memory into a catalog's arrays; generate_next_stream
 writes each block's records to a binary shard file, merges the shards
 by their bytes, and makes text only in the final merge, formatting
 blocks of records into the catalog file.  write_catalog and that merge
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import canon
-from .core import MAX_N, RankTable, flats, k_duals, min_element_rank
+from .core import MAX_N, RankTable, flats, k_duals
 from .extensions import enumerate_extensible_partitions, extension_builder
 
 # Partition rows folded and built at a time in extensions_of_parent, so
@@ -76,33 +76,62 @@ class CatalogEntry:
     aut_order: int
 
 
-@dataclass(frozen=True)
 class Catalog:
-    """Canonical representatives for fixed (n, k), sorted by rank table."""
+    """Canonical representatives for fixed (n, k), sorted by rank table:
+    ranks is an (m, 2^n) matrix, uint8 when every rank fits in a byte,
+    and auts the (m,) int64 aut orders.  Catalog(n, k, entries) packs a
+    sequence of CatalogEntry; entries is made on first read."""
 
-    n: int
-    k: int
-    entries: tuple
+    def __init__(self, n, k, entries):
+        rows = np.array([e.table.rho for e in entries], dtype=np.int64)
+        self.n, self.k = n, k
+        self.ranks = _narrow(rows.reshape(-1, 1 << n))
+        self.auts = np.array([e.aut_order for e in entries], dtype=np.int64)
+
+    @classmethod
+    def _of(cls, n, k, ranks, auts):
+        """A catalog holding narrowed, C-contiguous arrays as they are."""
+        cat = cls.__new__(cls)
+        cat.n, cat.k, cat.ranks, cat.auts = n, k, ranks, auts
+        return cat
+
+    @functools.cached_property
+    def entries(self):
+        tables = (RankTable(self.n, self.k, tuple(rho))
+                  for rho in self.ranks.tolist())
+        return tuple(map(CatalogEntry, tables, self.auts.tolist()))
+
+    def __eq__(self, other):
+        return (isinstance(other, Catalog)
+                and (self.n, self.k) == (other.n, other.k)
+                and np.array_equal(self.ranks, other.ranks)
+                and np.array_equal(self.auts, other.auts))
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.auts)
+
+    def _per_rank(self, weights=None):
+        top, full = self.k * self.n, self.ranks[:, -1]
+        if len(full) and full.max() > top:
+            raise ValueError(f"catalog rank {full.max()} above k*n = {top}")
+        return np.bincount(full, weights, minlength=top + 1)
 
     def rank_counts(self):
         """Per-rank histogram, index r = number of entries of rank r."""
-        counts = [0] * (self.k * self.n + 1)
-        for e in self.entries:
-            counts[e.table.rank] += 1
-        return counts
+        return self._per_rank().tolist()
 
     def labeled_rank_counts(self):
-        fact = math.factorial(self.n)
-        counts = [0] * (self.k * self.n + 1)
-        for e in self.entries:
-            counts[e.table.rank] += fact // e.aut_order
-        return counts
+        weights = math.factorial(self.n) // self.auts  # exact: n! m < 2^53
+        return self._per_rank(weights).astype(np.int64).tolist()
 
     def labeled_total(self):
         return sum(self.labeled_rank_counts())
+
+
+def _narrow(ranks):
+    """A rank matrix as uint8 if every rank fits in a byte, else as is."""
+    fits = not ranks.size or 0 <= ranks.min() <= ranks.max() <= 255
+    return ranks.astype(np.uint8) if fits else ranks
 
 
 @dataclass
@@ -115,18 +144,14 @@ class GenerationStats:
     canonical: int = 0  # orbit representatives decided, one per orbit
 
     def merge(self, other):
-        self.parents += other.parents
-        self.partitions += other.partitions
-        self.accepted += other.accepted
-        self.rejected += other.rejected
-        self.wall_time += other.wall_time
-        self.canonical += other.canonical
+        for name in vars(self):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 def base_catalog(k: int) -> Catalog:
     """X_0: the empty polymatroid."""
-    entry = CatalogEntry(RankTable(0, k, (0,)), 1)
-    return Catalog(0, k, (entry,))
+    return Catalog._of(0, k, np.zeros((1, 1), dtype=np.uint8),
+                       np.ones(1, dtype=np.int64))
 
 
 def flat_automorphisms(parent: RankTable, lattice):
@@ -224,13 +249,13 @@ def extensions_of_parent(parent: RankTable):
 def _worker(args):
     """The records of one block of parents as one sorted matrix, with the
     block's stats."""
-    k, rhos = args
+    k, ranks = args
     records = []
     stats = GenerationStats()
     calls = _canonical_calls
-    for rho in rhos:
+    for rho in ranks.tolist():
         n = len(rho).bit_length() - 1
-        acc, nparts = extensions_of_parent(RankTable(n, k, rho))
+        acc, nparts = extensions_of_parent(RankTable(n, k, tuple(rho)))
         records.append(acc)
         stats.parents += 1
         stats.partitions += nparts
@@ -244,10 +269,9 @@ def _blocks(xn: Catalog, jobs: int):
     """_worker's result for each block of parents, in catalog order.  The
     parents are cut into at most 1024 blocks; with jobs > 1 and at least
     4 parents the blocks run on a pool of that many processes."""
-    rhos = [e.table.rho for e in xn.entries]
-    chunk = max(1, (len(rhos) + 1023) // 1024)
-    tasks = [(xn.k, rhos[i:i + chunk]) for i in range(0, len(rhos), chunk)]
-    if jobs <= 1 or len(rhos) < 4:
+    chunk = max(1, (len(xn) + 1023) // 1024)
+    tasks = [(xn.k, xn.ranks[i:i + chunk]) for i in range(0, len(xn), chunk)]
+    if jobs <= 1 or len(xn) < 4:
         yield from map(_worker, tasks)
         return
     # a pool task returns its blocks' results at once, so batch only
@@ -269,12 +293,9 @@ def generate_next(xn: Catalog, jobs: int = 1):
     # each class has one rho, accepted at one parent, so the blocks
     # share no record and sorting their rows sorts the catalog
     records = _distinct_rows(np.concatenate(blocks))
-    entries = tuple(
-        CatalogEntry(RankTable(xn.n + 1, xn.k, rho), aut)
-        for rho, aut in zip(map(tuple, records[:, :size].tolist()),
-                            _auts(records).tolist()))
     stats.wall_time = time.monotonic() - start
-    return Catalog(xn.n + 1, xn.k, entries), stats
+    return Catalog._of(xn.n + 1, xn.k, records[:, :size].copy(),
+                       _auts(records).astype(np.int64)), stats
 
 
 def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
@@ -373,47 +394,35 @@ def count_table(catalogs, labeled: bool = False):
     repeated = sorted({n for n in ns if ns.count(n) > 1})
     if repeated:
         raise ValueError(f"more than one catalog for n in {repeated}")
-    n_max = ns[-1]
-    k = ks[0]
-    rows = k * n_max + 1
-    table = [[0] * len(catalogs) for _ in range(rows)]
+    table = np.zeros((ks[0] * ns[-1] + 1, len(catalogs)), dtype=object)
     for j, cat in enumerate(sorted(catalogs, key=lambda c: c.n)):
         counts = cat.labeled_rank_counts() if labeled else cat.rank_counts()
-        for r, v in enumerate(counts):
-            table[r][j] = v
-    return table
-
-
-def _no_small_elements(table: RankTable, min_rank: int) -> bool:
-    if table.n == 0 or min_element_rank(table) < min_rank:
-        return False
-    # a pair of distinct elements spanning a rank-2 set is two copies of
-    # one line; the catalog's no-small-element filter excludes those too
-    for i in range(table.n):
-        for j in range(i + 1, table.n):
-            pair = (1 << i) | (1 << j)
-            if table.rho[pair] < min_rank + 1:
-                return False
-    return True
+        table[:len(counts), j] = counts
+    return table.tolist()
 
 
 def filter_count(catalog: Catalog, min_rank: int = 2) -> int:
     """Entries with no element of rank below min_rank and no two
-    elements spanning rank below min_rank + 1."""
-    return sum(
-        1 for e in catalog.entries if _no_small_elements(e.table, min_rank)
-    )
+    elements spanning rank below min_rank + 1; none when n = 0."""
+    # a pair of distinct elements spanning a rank-2 set is two copies of
+    # one line; the catalog's no-small-element filter excludes those too
+    singles = 1 << np.arange(catalog.n)
+    i, j = np.triu_indices(catalog.n, 1)
+    keep = ((catalog.ranks[:, singles] >= min_rank).all(axis=1)
+            & (catalog.ranks[:, singles[i] | singles[j]] > min_rank).all(1))
+    return int(keep.sum()) if catalog.n else 0
 
 
 def duality_check(catalog: Catalog):
     """None if k-duality permutes the catalog and the per-rank histogram
     is palindromic; otherwise the offending entry (the first in catalog
     order whose dual is missing) or rank.  The duals are labeled in one
-    canonical_forms call and looked up among the sorted catalog rows."""
+    canonical_forms call and looked up among the sorted catalog rows;
+    ranks must fit in one byte, or ValueError."""
     size = 1 << catalog.n
-    tables = np.frombuffer(
-        b"".join(bytes(e.table.rho) for e in catalog.entries),
-        dtype=np.uint8).reshape(-1, size)
+    tables = catalog.ranks
+    if tables.dtype != np.uint8:
+        raise ValueError("catalog ranks must fit in one byte")
     duals, _sigma, _aut = canon.canonical_forms(
         k_duals(tables, catalog.k), catalog.n)
     keys = np.sort(tables.view(f"V{size}").ravel())
@@ -421,12 +430,10 @@ def duality_check(catalog: Catalog):
     at = np.minimum(np.searchsorted(keys, duals), len(keys) - 1)
     missing = np.flatnonzero(keys[at] != duals)
     if len(missing):
-        return ("dual-not-in-catalog", catalog.entries[missing[0]].table.rho)
-    counts = catalog.rank_counts()
-    for r in range(len(counts)):
-        if counts[r] != counts[len(counts) - 1 - r]:
-            return ("rank-histogram-asymmetry", r)
-    return None
+        return ("dual-not-in-catalog", tuple(tables[missing[0]].tolist()))
+    counts = catalog._per_rank()
+    rank = np.flatnonzero(counts != counts[::-1])
+    return ("rank-histogram-asymmetry", int(rank[0])) if len(rank) else None
 
 
 # --- catalog file format ---------------------------------------------------
@@ -476,50 +483,45 @@ def _format_entries(ranks, auts):
 
 
 def write_catalog(catalog: Catalog, path):
-    entries = catalog.entries
     with open(path, "wb") as fh:
-        fh.write(_header(catalog.n, catalog.k, len(entries)))
-        for i in range(0, len(entries), _ROWS):
-            block = entries[i:i + _ROWS]
-            fh.write(_format_entries(
-                np.array([e.table.rho for e in block]),
-                np.array([e.aut_order for e in block])))
+        fh.write(_header(catalog.n, catalog.k, len(catalog)))
+        for i in range(0, len(catalog), _ROWS):
+            fh.write(_format_entries(catalog.ranks[i:i + _ROWS],
+                                     catalog.auts[i:i + _ROWS]))
 
 
 def read_catalog(path) -> Catalog:
     with open(path, "rb") as fh:
         head = fh.readline().decode(errors="replace")
         m = _HEADER_RE.match(head.strip())
-        if not m:
+        if not m or int(m[1]) > MAX_N or int(m[2]) < 1:
             raise ValueError(f"{path}: bad catalog header {head!r}")
         n, k, count = map(int, m.groups())
-        entries = []
-        # whole lines of about _READ_BYTES at a time
+        # an empty chunk's arrays, then lines of about _READ_BYTES each
+        parts = [_parse_entries(b"", n, path)]
         while lines := fh.readlines(_READ_BYTES):
-            entries += _parse_entries(b"".join(lines), n, k, path)
-    if len(entries) != count:
-        raise ValueError(
-            f"{path}: header count {count} != {len(entries)} entries"
-        )
-    return Catalog(n, k, tuple(entries))
+            parts.append(_parse_entries(b"".join(lines), n, path))
+    ranks, auts = (np.concatenate(arrays) for arrays in zip(*parts))
+    if len(auts) != count:
+        raise ValueError(f"{path}: header count {count} != {len(auts)}")
+    return Catalog._of(n, k, ranks, auts)
 
 
-def _parse_entries(chunk, n, k, path):
-    """The catalog entries in a chunk of whole lines, skipping blank
-    lines.  An entry line is 2^n ranks and then aut=<order>, each in
-    decimal digits, separated by whitespace; any other line raises
-    ValueError.  The chunk is read as one uint8 array: tokens are the
-    runs of non-space bytes, and each token's value is summed over its
-    digits, one digit place at a time."""
+def _parse_entries(chunk, n, path):
+    """The entries in a chunk of whole lines, skipping blank lines, as a
+    narrowed rank matrix and a copied int64 vector of aut orders, so no
+    int64 chunk outlives the parse.  An entry line is 2^n ranks and then
+    aut=<order>, each in decimal digits, separated by whitespace, with
+    an order above 0; any other line raises ValueError.  The chunk is
+    read as one uint8 array: tokens are the runs of non-space bytes, and
+    each token's value is summed over its digits, one place at a time."""
     b = np.frombuffer(chunk, dtype=np.uint8)
     space = _SPACE[b]
     edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
     starts, ends = edges[::2], edges[1::2]
-    if not len(starts):
-        return []
     breaks = np.flatnonzero((b == 10) | (b == 13))
     line = np.searchsorted(breaks, starts)
-    last = np.append(line[1:] != line[:-1], True)
+    last = np.diff(line, append=len(breaks) + 1) != 0
     first = starts + 4 * last  # a line's last token opens with "aut="
     length = ends - first
     # mark the lines with a byte that is no space, digit or a last
@@ -535,13 +537,13 @@ def _parse_entries(chunk, n, k, path):
     bad[line[(length < 1) | (length > 18)]] = True
     counts = np.bincount(line, minlength=len(bad))
     bad |= (counts != 0) & (counts != (1 << n) + 1)
+    value = np.zeros(len(starts), dtype=np.int64)
+    for place in range(min(int(length.max(initial=0)), 18)):
+        digit = b[np.maximum(ends - 1 - place, 0)].astype(np.int64) - 48
+        value += (place < length) * digit * 10 ** place
+    bad[line[last & (value == 0)]] = True  # aut=0
     if bad.any():
         text = re.split(rb"[\n\r]", chunk)[bad.argmax()]
         raise ValueError(f"{path}: malformed entry {text!r}")
-    value = np.zeros(len(starts), dtype=np.int64)
-    for place in range(int(length.max())):
-        digit = b[np.maximum(ends - 1 - place, 0)].astype(np.int64) - 48
-        value += (place < length) * digit * 10 ** place
     rows = value.reshape(-1, (1 << n) + 1)
-    return [CatalogEntry(RankTable(n, k, tuple(rho)), aut)
-            for rho, aut in zip(rows[:, :-1].tolist(), rows[:, -1].tolist())]
+    return _narrow(rows[:, :-1]), rows[:, -1].copy()

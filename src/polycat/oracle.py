@@ -163,8 +163,8 @@ def cross_check(catalogs, n_max: int | None = None,
         total, _per_rank = brute_labeled_count(n, cat.k)
         cat_labeled = cat.labeled_total()
         classes = _brute_class_count(n, cat.k)
-        rows.append((n, total, cat_labeled, classes, len(cat.entries)))
-        if ok and (total != cat_labeled or classes != len(cat.entries)):
+        rows.append((n, total, cat_labeled, classes, len(cat)))
+        if ok and (total != cat_labeled or classes != len(cat)):
             ok = False
             witness = f"count mismatch at n={n}"
     for n in range(min(n_max, extension_n_max) + 1):
@@ -184,7 +184,7 @@ def cross_check(catalogs, n_max: int | None = None,
                     ok = False
                     witness = (f"extension mismatch at n={n}, "
                                f"parent {entry.table.rho}")
-        ext_rows.append((n, len(cat.entries), mism))
+        ext_rows.append((n, len(cat), mism))
     return CrossCheckReport(rows, ext_rows, ok, witness)
 
 

@@ -7,6 +7,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,6 +87,7 @@ def test_round_trip_across_blocks_and_chunks(tmp_path):
     assert path.read_bytes() == reference_text(catalog).encode()
     assert path.stat().st_size > 3 * gen._READ_BYTES
     assert read_catalog(path) == catalog
+    assert read_catalog(path).ranks.dtype == np.int64
 
 
 @st.composite
@@ -131,6 +133,8 @@ CASES = {
     "empty aut": (1, "0 1 aut=\n"),
     "negative token": (1, "0 -1 aut=1\n"),
     "negative aut": (1, "0 1 aut=-2\n"),
+    "zero aut": (1, "0 1 aut=0\n"),
+    "zero aut in leading zeros": (2, "0 1 aut=1\n0 2 aut=000\n"),
     "missing aut=": (1, "0 1 2\n"),
     "aut= not last": (1, "0 aut=1 1\n"),
     "two aut= tokens": (1, "aut=1 0 aut=1\n"),
@@ -145,9 +149,10 @@ CASES = {
     "bad line after good ones": (3, "0 1 aut=1\n0 2 aut=2\n0 2 aut\n"),
     "no entries": (0, "\n\n"),
 }
-# The reference's int() reads a sign; ranks and aut orders are never
-# negative, so read_catalog refuses one.
-DIFFERENT = {"negative token", "negative aut"}
+# The reference's int() reads a sign and takes aut=0; ranks are never
+# negative and aut orders are at least 1, so read_catalog refuses both.
+DIFFERENT = {"negative token", "negative aut", "zero aut",
+             "zero aut in leading zeros"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -167,6 +172,15 @@ def test_malformed_input_as_the_reference(name, tmp_path):
             read_catalog(path)
     else:
         assert read_catalog(path) == expect
+
+
+@pytest.mark.parametrize("head", ["n=9 k=2 count=0", "n=1 k=0 count=1"])
+def test_header_out_of_range(head, tmp_path):
+    # a rank table has at most MAX_N = 8 elements and a positive k
+    path = tmp_path / "cat.txt"
+    path.write_text(f"POLYCAT v1 {head}\n0 0 aut=1\n")
+    with pytest.raises(ValueError, match="bad catalog header"):
+        read_catalog(path)
 
 
 def test_malformed_entry_is_named(tmp_path):

@@ -185,6 +185,20 @@ class TestVerify:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, error", [("0 5 aut=1", "rank 5 above"),
+                                          ("0 1 aut=0", "'0 1 aut=0'")])
+@pytest.mark.parametrize("command", [["count"], ["count", "--labeled"],
+                                     ["verify", "--n", "1"]])
+def test_out_of_range_catalog_is_usage_error(tmp_path, capsys, command,
+                                             entry, error):
+    (tmp_path / "polycat-k1-n0.txt").write_text(
+        "POLYCAT v1 n=0 k=1 count=1\n0 aut=1\n")
+    (tmp_path / "polycat-k1-n1.txt").write_text(
+        f"POLYCAT v1 n=1 k=1 count=1\n{entry}\n")
+    assert main(command + ["--k", "1", "--in", str(tmp_path)]) == 2
+    assert error in capsys.readouterr().err
+
+
 class TestInfo:
     def test_valid_table(self, tmp_path, capsys):
         f = tmp_path / "two-lines.txt"

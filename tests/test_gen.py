@@ -22,7 +22,7 @@ from polycat import (
     write_catalog,
 )
 from polycat.canon import apply_mask_perm, canonical_bytes, canonical_form
-from polycat.core import MAX_N, flats
+from polycat.core import MAX_N, flats, min_element_rank
 from polycat.extensions import (
     enumerate_extensible_partitions,
     extension_builder,
@@ -342,6 +342,23 @@ class TestCountsAndChecks:
     def test_filter_counts(self, cats5):
         assert [filter_count(c) for c in cats5] == [0, 1, 2, 8, 51, 696]
 
+    def test_filter_count_matches_per_entry_reference(self, cats5):
+        def no_small_elements(table, min_rank):
+            if table.n == 0 or min_element_rank(table) < min_rank:
+                return False
+            for i in range(table.n):
+                for j in range(i + 1, table.n):
+                    pair = (1 << i) | (1 << j)
+                    if table.rho[pair] < min_rank + 1:
+                        return False
+            return True
+
+        for cat in cats5:
+            for min_rank in range(4):
+                assert filter_count(cat, min_rank) == sum(
+                    no_small_elements(e.table, min_rank)
+                    for e in cat.entries)
+
     def test_duality_check_passes(self, cats5):
         for cat in cats5:
             assert duality_check(cat) is None
@@ -370,7 +387,7 @@ class TestCountsAndChecks:
             return None
 
         def without(cat, drop):
-            return dataclasses.replace(cat, entries=tuple(
+            return gen.Catalog(cat.n, cat.k, tuple(
                 e for i, e in enumerate(cat.entries) if i not in drop))
 
         cases = list(cats5)
@@ -384,7 +401,7 @@ class TestCountsAndChecks:
             # breaks the histogram
             e = next(e for e in cat.entries
                      if 2 * e.table.rank != cat.k * cat.n)
-            cases.append(dataclasses.replace(cat, entries=cat.entries + (e,)))
+            cases.append(gen.Catalog(cat.n, cat.k, cat.entries + (e,)))
         results = [duality_check(c) for c in cases]
         assert results == [reference(c) for c in cases]
         kinds = {r and r[0] for r in results}
@@ -398,6 +415,48 @@ class TestCountsAndChecks:
                                                     1),))
         with pytest.raises(ValueError):
             duality_check(cat)
+
+
+class TestCatalogArrays:
+    def test_paths_make_no_entry_objects(self, cats5, tmp_path,
+                                         monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a CatalogEntry was made")
+
+        monkeypatch.setattr(gen, "CatalogEntry", refuse)
+        cat, made, counts = base_catalog(2), [], []
+        for n in range(5):
+            path = tmp_path / f"x{n}.txt"
+            write_catalog(cat, path)
+            read = read_catalog(path)
+            assert read == cat
+            counts.append((read.rank_counts(), read.labeled_rank_counts(),
+                           filter_count(read), duality_check(read)))
+            generate_next_stream(read, tmp_path / "streamed.txt")
+            cat, _stats = generate_next(read)
+            assert read_catalog(tmp_path / "streamed.txt") == cat
+            made += [read, cat]
+        monkeypatch.undo()
+        assert all(c.ranks.dtype == np.uint8 for c in made)
+        assert [c.entries for c in made] == [
+            cats5[m].entries for n in range(5) for m in (n, n + 1)]
+        assert counts == [
+            (c.rank_counts(), c.labeled_rank_counts(), filter_count(c), None)
+            for c in cats5[:5]]
+        assert all(type(v) is int for rank_counts, labeled, _f, _d in counts
+                   for v in rank_counts + labeled)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_empty_catalog(self, n, tmp_path):
+        cat = gen.Catalog(n, 2, ())
+        assert (len(cat), cat.entries) == (0, ())
+        assert cat.ranks.shape == (0, 1 << n)
+        assert cat.ranks.dtype == np.uint8 and cat.auts.dtype == np.int64
+        assert cat.rank_counts() == cat.labeled_rank_counts() == \
+            [0] * (2 * n + 1)
+        assert filter_count(cat) == 0 and duality_check(cat) is None
+        write_catalog(cat, tmp_path / "empty.txt")
+        assert read_catalog(tmp_path / "empty.txt") == cat
 
 
 class TestCatalogFiles:
