@@ -161,7 +161,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--stream", action="store_true",
-                   help="write extensions through sorted disk shards")
+                   help="write extensions through a temporary disk file")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("count", help="print count tables from catalogs")

@@ -16,27 +16,26 @@ compared, so the outer loop parallelizes with no shared state.
 
 An accepted class travels as one record, a row of a uint8 matrix: its
 2^(n+1) rank bytes, then its aut order as 4 big-endian bytes, so that
-rows in byte order are entries in catalog order.  One runner, _blocks,
-cuts the parents into blocks and runs them in order, serially or on a
-process pool, each block giving its records sorted.  generate_next
-merges the blocks in memory into a catalog's arrays; generate_next_stream
-writes each block's records to a binary shard file, merges the shards
-by their bytes, and makes text only in the final merge, formatting
-blocks of records into the catalog file.  write_catalog and that merge
-share one numpy block formatter, and read_catalog parses the file in
-numpy, a bounded chunk of lines at a time.
+rows in byte order are entries in catalog order.  A class is accepted
+at one parent only, and its record starts with that parent's table, so
+the records of parents taken in byte order are already in catalog
+order.  One runner, _blocks, fixes that order: it steps the parents'
+distinct rank rows in byte order, cuts them into blocks and runs the
+blocks in order, serially or on a process pool, and after it nothing
+sorts or merges.  generate_next concatenates the blocks' records into
+a catalog's arrays; generate_next_stream appends them to one unnamed
+temporary file and formats that file, a block of records at a time,
+into the catalog file.  write_catalog shares that numpy block
+formatter, and read_catalog parses the file in numpy, a bounded chunk
+of lines at a time.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import heapq
-import itertools
 import math
 import os
 import re
-import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -54,9 +53,7 @@ from .extensions import enumerate_extensible_partitions, extension_builder
 # splits its search of a block further, by its own fixed budget of table
 # entries (canon._SEARCH_ENTRIES).
 _BLOCK = 1 << 16
-# Shard files merged at once by generate_next_stream.
-_FAN_IN = 64
-# Records merged, formatted or written at a time: a block of 512 n=7
+# Records read, formatted or written at a time: a block of 512 n=7
 # records formats in about 0.2 MB of uint8 temporaries.
 _ROWS = 512
 # Catalog bytes read_catalog parses at a time, in whole lines.
@@ -247,8 +244,8 @@ def extensions_of_parent(parent: RankTable):
 
 
 def _worker(args):
-    """The records of one block of parents as one sorted matrix, with the
-    block's stats."""
+    """The records of one block of parents as one matrix, in the order of
+    the parents, with the block's stats."""
     k, ranks = args
     records = []
     stats = GenerationStats()
@@ -262,16 +259,25 @@ def _worker(args):
         stats.accepted += len(acc)
         stats.rejected += nparts - len(acc)
     stats.canonical = _canonical_calls - calls
-    return _distinct_rows(np.concatenate(records)), stats
+    return np.concatenate(records), stats
 
 
 def _blocks(xn: Catalog, jobs: int):
     """_worker's result for each block of parents, in catalog order.  The
-    parents are cut into at most 1024 blocks; with jobs > 1 and at least
-    4 parents the blocks run on a pool of that many processes."""
-    chunk = max(1, (len(xn) + 1023) // 1024)
-    tasks = [(xn.k, xn.ranks[i:i + chunk]) for i in range(0, len(xn), chunk)]
-    if jobs <= 1 or len(xn) < 4:
+    parents are xn's distinct rank rows in byte order; each class is
+    accepted at one parent and its record starts with that parent's
+    table, so the blocks' records, concatenated, are the next catalog's
+    rows in order, each class once.  Ranks must fit in one byte, or
+    ValueError.  The parents are cut into at most 1024 blocks; with
+    jobs > 1 and at least 4 parents the blocks run on a pool of that
+    many processes."""
+    if xn.ranks.dtype != np.uint8:
+        raise ValueError("catalog ranks must fit in one byte")
+    parents = _distinct_rows(xn.ranks)
+    chunk = max(1, (len(parents) + 1023) // 1024)
+    tasks = [(xn.k, parents[i:i + chunk])
+             for i in range(0, len(parents), chunk)]
+    if jobs <= 1 or len(parents) < 4:
         yield from map(_worker, tasks)
         return
     # a pool task returns its blocks' results at once, so batch only
@@ -290,9 +296,7 @@ def generate_next(xn: Catalog, jobs: int = 1):
     for records, st in _blocks(xn, jobs):
         stats.merge(st)
         blocks.append(records)
-    # each class has one rho, accepted at one parent, so the blocks
-    # share no record and sorting their rows sorts the catalog
-    records = _distinct_rows(np.concatenate(blocks))
+    records = np.concatenate(blocks)
     stats.wall_time = time.monotonic() - start
     return Catalog._of(xn.n + 1, xn.k, records[:, :size].copy(),
                        _auts(records).astype(np.int64)), stats
@@ -301,45 +305,30 @@ def generate_next(xn: Catalog, jobs: int = 1):
 def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
                          shard_dir=None):
     """generate_next with the catalog written to out_path instead of
-    kept: each block's records go to a sorted binary shard file, and the
-    shards are merged into the catalog by their bytes, text being made
-    in the final merge only.  Only counts are kept in memory.  The
-    shards live in a private directory under shard_dir (default: the
-    output's directory) that is removed on return or on error.  The
-    catalog is merged into a temporary file beside out_path and renamed
-    onto it at the end, so a failed run leaves any earlier file at
-    out_path as it was."""
+    kept: each block's records are appended, in the order _blocks gives
+    them, to one temporary file with no name in shard_dir (default: the
+    output's directory), which the system frees however the run ends.
+    That file is then formatted _ROWS records at a time into a temporary
+    catalog beside out_path, which is renamed onto it at the end, so a
+    failed run leaves any earlier file at out_path as it was.  Only
+    counts are kept in memory."""
     start = time.monotonic()
     out_dir = os.path.dirname(os.path.abspath(out_path))
     width = (2 << xn.n) + 4
     stats = GenerationStats()
-    run_dir = tempfile.mkdtemp(prefix=".shards-", dir=shard_dir or out_dir)
-    names = (os.path.join(run_dir, f"{i:05d}.rec") for i in itertools.count())
-    try:
-        shards = []
-        for records, st in _blocks(xn, jobs):
+    with tempfile.TemporaryFile(dir=shard_dir or out_dir) as records:
+        for block, st in _blocks(xn, jobs):
             stats.merge(st)
-            shards.append(next(names))
-            with open(shards[-1], "wb") as fh:
-                fh.write(records)
-        # merge at most _FAN_IN shards at once, in rounds, so that the
-        # open files stay bounded however many blocks there are
-        while len(shards) > _FAN_IN:
-            groups = [shards[i:i + _FAN_IN]
-                      for i in range(0, len(shards), _FAN_IN)]
-            shards = []
-            for group in groups:
-                shards.append(next(names))
-                with open(shards[-1], "wb") as out:
-                    _merge_shards(group, width, out.write)
-                for path in group:
-                    os.remove(path)
+            records.write(block)
+        records.seek(0)
         fd, tmp = tempfile.mkstemp(prefix=".catalog-", dir=out_dir)
         try:
             with open(fd, "wb") as out:
                 out.write(_header(xn.n + 1, xn.k, stats.accepted))
-                _merge_shards(shards, width, lambda rows: out.write(
-                    _format_entries(rows[:, :-4], _auts(rows))))
+                while batch := records.read(_ROWS * width):
+                    rows = np.frombuffer(batch, dtype=np.uint8)
+                    rows = rows.reshape(-1, width)
+                    out.write(_format_entries(rows[:, :-4], _auts(rows)))
             # mkstemp makes the file private; give it the mode a plain
             # open would have
             umask = os.umask(0)
@@ -349,22 +338,8 @@ def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
         except BaseException:
             os.remove(tmp)
             raise
-    finally:
-        shutil.rmtree(run_dir, ignore_errors=True)
     stats.wall_time = time.monotonic() - start
     return stats
-
-
-def _merge_shards(paths, width, write):
-    """Merge sorted shard files of width-byte records in byte order,
-    passing the records to write as (rows, width) uint8 matrices of at
-    most _ROWS rows."""
-    with contextlib.ExitStack() as stack:
-        files = [iter(functools.partial(stack.enter_context(
-            open(p, "rb")).read, width), b"") for p in paths]
-        merged = heapq.merge(*files)
-        while batch := b"".join(itertools.islice(merged, _ROWS)):
-            write(np.frombuffer(batch, dtype=np.uint8).reshape(-1, width))
 
 
 def enumerate_all(n_max: int, k: int, jobs: int = 1):
@@ -512,9 +487,10 @@ def _parse_entries(chunk, n, path):
     narrowed rank matrix and a copied int64 vector of aut orders, so no
     int64 chunk outlives the parse.  An entry line is 2^n ranks and then
     aut=<order>, each in decimal digits, separated by whitespace, with
-    an order above 0; any other line raises ValueError.  The chunk is
-    read as one uint8 array: tokens are the runs of non-space bytes, and
-    each token's value is summed over its digits, one place at a time."""
+    an order that divides n!; any other line raises ValueError.  The
+    chunk is read as one uint8 array: tokens are the runs of non-space
+    bytes, and each token's value is summed over its digits, one place
+    at a time."""
     b = np.frombuffer(chunk, dtype=np.uint8)
     space = _SPACE[b]
     edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
@@ -541,7 +517,9 @@ def _parse_entries(chunk, n, path):
     for place in range(min(int(length.max(initial=0)), 18)):
         digit = b[np.maximum(ends - 1 - place, 0)].astype(np.int64) - 48
         value += (place < length) * digit * 10 ** place
-    bad[line[last & (value == 0)]] = True  # aut=0
+    # an aut order is the order of a subgroup of S_n, so it divides n!
+    # (gcd(0, n!) = n!, so aut=0 is marked too)
+    bad[line[last & (np.gcd(value, math.factorial(n)) != value)]] = True
     if bad.any():
         text = re.split(rb"[\n\r]", chunk)[bad.argmax()]
         raise ValueError(f"{path}: malformed entry {text!r}")

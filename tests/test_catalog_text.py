@@ -2,6 +2,7 @@
 read_catalog's numpy parser, checked against the plain per-line formula
 and a line-by-line reference parser."""
 
+import math
 import random
 import re
 import tempfile
@@ -15,6 +16,13 @@ from polycat import RankTable, gen, read_catalog, write_catalog
 from polycat.gen import Catalog, CatalogEntry
 
 HEADER_RE = re.compile(r"^POLYCAT v1 n=(\d+) k=(\d+) count=(\d+)$")
+
+
+def aut_orders(n):
+    """The aut orders a catalog on n elements may hold: the divisors of
+    n!, as read_catalog checks."""
+    order = math.factorial(n)
+    return [d for d in range(1, order + 1) if order % d == 0]
 
 
 def reference_text(catalog):
@@ -52,11 +60,11 @@ def reference_read(path):
 def catalogs(draw):
     """Catalogs of random tables, n <= 3 and k up to 200, so that ranks
     reach 600; the tables need not be polymatroids, since the file
-    format does not check them."""
+    format does not check them, but each aut order divides n!."""
     n = draw(st.integers(0, 3))
     k = draw(st.sampled_from([1, 2, 200]))
     rho = st.tuples(*[st.integers(0, k * n)] * (1 << n))
-    pairs = draw(st.lists(st.tuples(rho, st.integers(1, 40320)),
+    pairs = draw(st.lists(st.tuples(rho, st.sampled_from(aut_orders(n))),
                           max_size=12))
     return Catalog(n, k, tuple(CatalogEntry(RankTable(n, k, r), a)
                                for r, a in pairs))
@@ -79,7 +87,7 @@ def test_round_trip_across_blocks_and_chunks(tmp_path):
     entries = tuple(
         CatalogEntry(RankTable(3, 200, tuple(rng.randrange(601)
                                              for _ in range(8))),
-                     rng.randrange(1, 40321))
+                     rng.choice(aut_orders(3)))
         for _ in range(1500))
     catalog = Catalog(3, 200, entries)
     path = tmp_path / "cat.txt"
@@ -135,6 +143,7 @@ CASES = {
     "negative aut": (1, "0 1 aut=-2\n"),
     "zero aut": (1, "0 1 aut=0\n"),
     "zero aut in leading zeros": (2, "0 1 aut=1\n0 2 aut=000\n"),
+    "aut not dividing n!": (2, "0 1 aut=1\n0 2 aut=2\n"),
     "missing aut=": (1, "0 1 2\n"),
     "aut= not last": (1, "0 aut=1 1\n"),
     "two aut= tokens": (1, "aut=1 0 aut=1\n"),
@@ -142,17 +151,18 @@ CASES = {
     "too many values": (1, "0 1 2 aut=1\n"),
     "two entries on a line": (2, "0 1 aut=1 0 2 aut=1\n"),
     "short line then long line": (2, "0 aut=1\n0 1 2 aut=1\n"),
-    "blank lines between entries": (2, "0 1 aut=1\n\n \t \n0 2 aut=2\n"),
-    "last line with no newline": (2, "0 1 aut=1\n0 2 aut=2"),
-    "leading zeros": (1, "00 01 aut=002\n"),
-    "tabs and CRLF": (2, "0\t1  aut=1\r\n\r\n0 2\taut=2\r\n"),
-    "bad line after good ones": (3, "0 1 aut=1\n0 2 aut=2\n0 2 aut\n"),
+    "blank lines between entries": (2, "0 1 aut=1\n\n \t \n0 2 aut=1\n"),
+    "last line with no newline": (2, "0 1 aut=1\n0 2 aut=1"),
+    "leading zeros": (1, "00 01 aut=001\n"),
+    "tabs and CRLF": (2, "0\t1  aut=1\r\n\r\n0 2\taut=1\r\n"),
+    "bad line after good ones": (3, "0 1 aut=1\n0 2 aut=1\n0 2 aut\n"),
     "no entries": (0, "\n\n"),
 }
-# The reference's int() reads a sign and takes aut=0; ranks are never
-# negative and aut orders are at least 1, so read_catalog refuses both.
+# The reference's int() reads a sign and takes any aut order; ranks are
+# never negative and an aut order divides n!, so read_catalog refuses
+# both.
 DIFFERENT = {"negative token", "negative aut", "zero aut",
-             "zero aut in leading zeros"}
+             "zero aut in leading zeros", "aut not dividing n!"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -185,6 +195,6 @@ def test_header_out_of_range(head, tmp_path):
 
 def test_malformed_entry_is_named(tmp_path):
     path = tmp_path / "cat.txt"
-    path.write_text(HEAD.format(3) + "0 1 aut=1\n0 2 aut=2\n0 x aut=3\n")
+    path.write_text(HEAD.format(3) + "0 1 aut=1\n0 2 aut=1\n0 x aut=3\n")
     with pytest.raises(ValueError, match=r"malformed entry b'0 x aut=3'"):
         read_catalog(path)

@@ -186,7 +186,8 @@ class TestVerify:
 
 
 @pytest.mark.parametrize("entry, error", [("0 5 aut=1", "rank 5 above"),
-                                          ("0 1 aut=0", "'0 1 aut=0'")])
+                                          ("0 1 aut=0", "'0 1 aut=0'"),
+                                          ("0 1 aut=7", "'0 1 aut=7'")])
 @pytest.mark.parametrize("command", [["count"], ["count", "--labeled"],
                                      ["verify", "--n", "1"]])
 def test_out_of_range_catalog_is_usage_error(tmp_path, capsys, command,

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import signal
 import subprocess
 import sys
 
@@ -309,6 +310,10 @@ class TestGeneration:
             RankTable(MAX_N + 1, 2, (0,) * (1 << (MAX_N + 1)))
         with pytest.raises(ValueError):  # ranks above 255 in the extension
             extensions_of_parent(RankTable(1, 200, (0, 200)))
+        wide = gen.Catalog(1, 200, (gen.CatalogEntry(
+            RankTable(1, 200, (0, 300)), 1),))
+        with pytest.raises(ValueError, match="catalog ranks must fit"):
+            generate_next(wide)
 
 
 class TestCountsAndChecks:
@@ -523,34 +528,82 @@ class TestCatalogFiles:
         monkeypatch.setattr(gen, "_worker", failing)
         with pytest.raises(RuntimeError, match="injected"):
             generate_next_stream(cats5[3], tmp_path / "out.txt")
-        assert len(calls) == 2  # one block's shard was written first
+        assert len(calls) == 2  # one block's records were written first
         assert list(tmp_path.iterdir()) == []
 
     def test_stream_failure_keeps_the_old_catalog(self, cats5, tmp_path,
                                                   monkeypatch):
         out = tmp_path / "out.txt"
-        write_catalog(cats5[4], out)
+        write_catalog(cats5[3], out)
         old = out.read_bytes()
-        real = gen._merge_shards
+        real, calls, on_disk = gen._format_entries, [], []
 
-        def failing(paths, width, write):
-            # X_3 -> X_4 makes 40 shards, so this is the final merge;
-            # it writes part of the catalog's text before it fails
-            written = []
-            real(paths[:1], width, lambda rows: written.append(write(rows)))
-            assert sum(written) > 0
-            raise RuntimeError("injected failure")
+        def failing(ranks, auts):
+            calls.append(len(ranks))
+            if len(calls) == 2:
+                on_disk.extend(p.stat().st_size
+                               for p in tmp_path.glob(".catalog-*"))
+                raise RuntimeError("injected failure")
+            return real(ranks, auts)
 
-        monkeypatch.setattr(gen, "_merge_shards", failing)
+        # X_4 -> X_5 formats 2,380 records, 256 at a time; the first
+        # block's text, about 18 KB, is more than the file's buffer
+        monkeypatch.setattr(gen, "_ROWS", 256)
+        monkeypatch.setattr(gen, "_format_entries", failing)
         with pytest.raises(RuntimeError, match="injected"):
-            generate_next_stream(cats5[3], out)
+            generate_next_stream(cats5[4], out)
+        assert calls == [256, 256]
+        assert len(on_disk) == 1 and on_disk[0] > 0
         assert out.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_stream_killed_leaves_the_directory_as_it_was(self, cats5,
+                                                          tmp_path):
+        out = tmp_path / "out.txt"
+        write_catalog(cats5[4], out)
+        (tmp_path / "other.txt").write_text("kept\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # enumerate_all calls _worker too, so patch it after
+        code = (
+            "import os, signal, sys\n"
+            "from polycat import enumerate_all, gen\n"
+            "x3 = enumerate_all(3, 2)[3]\n"
+            "real, calls = gen._worker, []\n"
+            "def worker(args):\n"
+            "    calls.append(args)\n"
+            "    if len(calls) == 2:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(args)\n"
+            "gen._worker = worker\n"
+            "gen.generate_next_stream(x3, sys.argv[1])\n"
+        )
+        src = os.path.dirname(os.path.dirname(polycat.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code, str(out)], env=env)
+        assert run.returncode == -signal.SIGKILL
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+        assert {name: (tmp_path / name).read_bytes()
+                for name in before} == before
+
+    @pytest.mark.parametrize("order", ["repeated", "reversed"])
+    def test_parents_repeated_or_out_of_order(self, cats5, tmp_path, order):
+        entries = cats5[2].entries
+        entries = (entries + (entries[3],) if order == "repeated"
+                   else entries[::-1])
+        parents = gen.Catalog(2, 2, entries)
+        nxt, stats = generate_next(parents)
+        assert nxt == cats5[3] and stats.accepted == len(nxt)
+        write_catalog(cats5[3], tmp_path / "ref.txt")
+        stats = generate_next_stream(parents, tmp_path / "stream.txt")
+        assert stats.accepted == len(cats5[3])
+        assert (tmp_path / "stream.txt").read_bytes() == \
+            (tmp_path / "ref.txt").read_bytes()
 
     def test_stream_runs_share_a_directory(self, cats5, tmp_path,
                                            monkeypatch):
         # a second run starts in the same directory after the first has
-        # written a shard, and finishes before the first merges
+        # written a block's records, and finishes before the first
+        # formats its catalog
         real = gen._worker
         calls, inner = [], []
 
@@ -571,10 +624,10 @@ class TestCatalogFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "n3.txt", "n4.txt", "ref.txt"]
 
-    def test_stream_merges_under_a_low_open_file_limit(self, cats5,
+    def test_stream_keeps_open_files_under_a_low_limit(self, cats5,
                                                        tmp_path):
-        # X_4 -> X_5 gives 228 one-parent blocks, so 228 shards, more
-        # than the 128 files the child process may open
+        # X_4 -> X_5 gives 228 one-parent blocks, more than the 128
+        # files the child process may open
         write_catalog(cats5[5], tmp_path / "ref.txt")
         code = (
             "import resource, sys\n"
