@@ -3,15 +3,17 @@
 One search, _search, assigns rank-table entries subsets first, pruning
 with the local submodular inequalities, the monotone step bounds and
 the cardinality cap.  It holds every partial table as a row of one
-numpy array and assigns one mask per level for all rows at once; a
+numpy array and assigns one run of consecutive same-size masks per
+level for all rows at once: no bound on a mask reads a set of its own
+size, so a row's children are the product of the run's intervals.  A
 level that would hold more than _SEARCH_ENTRIES table entries is split
 between rows, and each half is finished before the next, so the
 complete tables come out in depth-first, lexicographic order.  Its
 callers give only the order of the masks and what to do with each block
 of complete tables: count labeled tables by rank, collect the
-extensions of a fixed parent, or collect canonical forms to count
-classes.  Nothing here shares logic with the canonical-deletion
-generator beyond the core table type.
+extensions of a fixed parent as one matrix, or collect canonical forms
+and aut orders to count and compare classes.  Nothing here shares logic
+with the canonical-deletion generator beyond the core table type.
 """
 
 from __future__ import annotations
@@ -25,19 +27,63 @@ from .core import RankTable
 
 # Table entries one level of _search holds at once; a frontier whose
 # children would exceed it is halved, and each half finished before the
-# next.  A single row is never split: it has at most k + 1 children.
+# next.  A single row is never split: a run of c masks gives it at most
+# (k + 1)^c children, and runs are cut to keep that within the budget.
 _SEARCH_ENTRIES = 1 << 16
 
 
-@lru_cache(maxsize=None)
 def _mask_gathers(m):
-    """Index arrays for the bounds of rho[m]: the sets m - f for each
-    element f of m, and m - f, m - g, m - f - g for each pair f < g."""
+    """The sets whose ranks bound rho[m], as one list: m - f for each
+    element f of m, then the m - f, m - g and m - f - g of each pair
+    f < g, each as a block of its own."""
     singles = [1 << b for b in range(m.bit_length()) if m >> b & 1]
     pairs = [(f, g) for i, f in enumerate(singles) for g in singles[i + 1:]]
-    return (np.array([m ^ f for f in singles], dtype=np.intp),
-            np.array([[m ^ f, m ^ g, m ^ f ^ g] for f, g in pairs],
-                     dtype=np.intp).reshape(-1, 3).T)
+    return ([m ^ f for f in singles] + [m ^ f for f, _ in pairs]
+            + [m ^ g for _, g in pairs] + [m ^ f ^ g for f, g in pairs])
+
+
+@lru_cache(maxsize=None)
+def _runs(masks, k, size, budget):
+    """Split masks into runs of consecutive masks of one size.  A run of
+    c masks gives a row at most (k + 1)^c children, and its _digits
+    table holds ((k + 1)(k + 2) / 2)^c rows; a run is cut before either
+    would pass budget, and one mask is always a run.  Each run is
+    (masks, cap, gather, s, p) for masks of size s with p pairs: row r's
+    bounds on run mask i read rho[gather[i]] of that row, see
+    _mask_gathers."""
+    runs = []
+    for m in masks:
+        run = runs[-1] if runs else []
+        c = len(run) + 1
+        if (not run or run[-1].bit_count() != m.bit_count()
+                or (k + 1) ** c * size > budget
+                or ((k + 1) * (k + 2) // 2) ** c > budget):
+            runs.append([m])
+        else:
+            run.append(m)
+    out = []
+    for run in runs:
+        s = run[0].bit_count()
+        out.append((np.array(run, dtype=np.intp), k * s,
+                    np.array([_mask_gathers(m) for m in run], dtype=np.intp),
+                    s, s * (s - 1) // 2))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _digits(k, c):
+    """(radix, counts, ends, table) for the children of a row whose c
+    masks have widths w, each 0..k + 1: with code = w @ radix, the row
+    has counts[code] children, and they give its masks lo plus the rows
+    of table[ends[code] - counts[code]:ends[code]], in lexicographic
+    order, first mask most significant, as np.indices(w) lists them."""
+    widths = np.indices((k + 2,) * c).reshape(c, -1).T
+    counts = widths.prod(axis=1)
+    ends = np.cumsum(counts)
+    table = np.empty((ends[-1], c), dtype=np.min_scalar_type(k))
+    for w, end, count in zip(widths, ends, counts):
+        table[end - count:end] = np.indices(w).reshape(c, -1).T
+    return (k + 2) ** np.arange(c - 1, -1, -1), counts, ends, table
 
 
 def _search(rho, masks, n, k, leaf):
@@ -45,32 +91,49 @@ def _search(rho, masks, n, k, leaf):
     monotone, step, cardinality and local submodular bounds allow, and
     call leaf(rows) on each block of complete tables, one table per row.
     Every proper subset of a mask must be fixed in rho or come earlier
-    in masks.  Blocks arrive in depth-first, lexicographic order."""
+    in masks.  Blocks arrive in depth-first, lexicographic order.  Each
+    level assigns one run of _runs for every row."""
     dtype = np.int16 if 2 * k * n < 1 << 15 else np.int64
     size = len(rho)
-    plan = [(m, k * m.bit_count(), *_mask_gathers(m)) for m in masks]
-    stack = [(np.array([rho], dtype=dtype), 0)]
+    budget = _SEARCH_ENTRIES
+    plan = _runs(tuple(masks), k, size, budget)
+    # each entry is a block of rows, its level, and the level's bounds
+    # on it when a larger block was split there
+    stack = [(np.array([rho], dtype=dtype), 0, None)]
     while stack:
-        rows, start = stack.pop()
+        rows, start, bounds = stack.pop()
         for level in range(start, len(plan)):
-            m, cap, subs, (a, b, ab) = plan[level]
-            below = rows[:, subs]
-            lo = below.max(axis=1)
-            hi = np.minimum(below.min(axis=1) + k, cap)
-            if len(ab):
-                hi = np.minimum(
-                    hi, (rows[:, a] + rows[:, b] - rows[:, ab]).min(axis=1))
-            width = np.maximum(hi - lo + 1, 0)
-            while len(rows) > 1 and width.sum() * size > _SEARCH_ENTRIES:
-                half = len(rows) // 2
-                stack.append((rows[half:], level))
-                rows, lo, width = rows[:half], lo[:half], width[:half]
-            rows = np.repeat(rows, width, axis=0)
+            run, cap, gather, s, p = plan[level]
+            radix, counts, last, table = _digits(k, len(run))
+            if bounds is None:
+                sets = rows[:, gather]
+                lo = sets[:, :, :s].max(axis=2)
+                hi = np.minimum(sets[:, :, :s].min(axis=2) + k, cap)
+                if p:
+                    a, b, ab = (sets[:, :, s + i * p:s + (i + 1) * p]
+                                for i in range(3))
+                    hi = np.minimum(hi, (a + b - ab).min(axis=2))
+                code = np.maximum(hi - lo + 1, 0) @ radix
+            else:
+                lo, code = bounds
+                bounds = None
+            count = counts[code]
+            ends = np.cumsum(count)
+            keep = len(rows)
+            while keep > 1 and ends[keep - 1] * size > budget:
+                half = keep // 2
+                stack.append((rows[half:keep], level,
+                              (lo[half:keep], code[half:keep])))
+                keep = half
+            rows, lo, code, count, ends = (
+                rows[:keep], lo[:keep], code[:keep], count[:keep], ends[:keep])
+            pick = np.repeat(last[code] - ends, count)
+            rows = np.repeat(rows, count, axis=0)
             if not len(rows):
                 break
-            # child j of a row takes lo + j
-            first = np.cumsum(width) - width
-            rows[:, m] = np.repeat(lo - first, width) + np.arange(len(rows))
+            rows[:, run] = (np.repeat(lo, count, axis=0)
+                            + np.take(table, pick + np.arange(len(rows)),
+                                      axis=0))
         else:
             leaf(rows)
 
@@ -102,17 +165,14 @@ def brute_labeled_count(n: int, k: int, order: str = "forward"):
 
 def brute_extensions(parent: RankTable):
     """All valid single-element extension tables of a labeled parent, by
-    the same constraint search with the parent half fixed."""
+    the same constraint search with the parent half fixed, as the rows
+    of one (m, 2^(n+1)) integer matrix."""
     n, k = parent.n, parent.k
     half = 1 << n
     masks = sorted((m | half for m in range(half)), key=int.bit_count)
-    out = []
-
-    def leaf(rows):
-        out.extend(RankTable(n + 1, k, tuple(r)) for r in rows.tolist())
-
-    _search(list(parent.rho) + [0] * half, masks, n + 1, k, leaf)
-    return out
+    blocks = [np.zeros((0, 2 * half), dtype=np.int16)]
+    _search(list(parent.rho) + [0] * half, masks, n + 1, k, blocks.append)
+    return np.concatenate(blocks)
 
 
 @dataclass
@@ -141,9 +201,10 @@ class CrossCheckReport:
 
 def cross_check(catalogs, n_max: int | None = None,
                 extension_n_max: int = 3) -> CrossCheckReport:
-    """Compare the catalogs against brute force, per n:
-    labeled totals, isomorphism-class counts, and (up to extension_n_max)
-    per-parent extension sets versus the partition-generated ones."""
+    """Compare the catalogs against brute force, per n: labeled totals,
+    isomorphism-class counts, the classes themselves as (canonical form,
+    aut order) pairs, and (up to extension_n_max) per-parent extension
+    sets versus the partition-generated ones."""
     from .core import flats
     from .extensions import enumerate_extensible_partitions, extension_builder
 
@@ -162,23 +223,33 @@ def cross_check(catalogs, n_max: int | None = None,
             continue
         total, _per_rank = brute_labeled_count(n, cat.k)
         cat_labeled = cat.labeled_total()
-        classes = _brute_class_count(n, cat.k)
-        rows.append((n, total, cat_labeled, classes, len(cat)))
-        if ok and (total != cat_labeled or classes != len(cat)):
+        classes = _brute_classes(n, cat.k)
+        rows.append((n, total, cat_labeled, len(classes), len(cat)))
+        if not ok:
+            continue
+        if total != cat_labeled or len(classes) != len(cat):
             ok = False
             witness = f"count mismatch at n={n}"
+            continue
+        listed = set(zip(map(bytes, cat.ranks.astype(np.uint8)),
+                         cat.auts.tolist()))
+        if listed != classes:
+            ok = False
+            form, aut = min(listed ^ classes)
+            side = "lacks" if (form, aut) in classes else "has extra"
+            witness = (f"class mismatch at n={n}: catalog {side} "
+                       f"{' '.join(map(str, form))} aut={aut}")
     for n in range(min(n_max, extension_n_max) + 1):
         cat = cats.get(n)
         if cat is None:
             continue
         mism = 0
         for entry in cat.entries:
-            brute = {t.rho for t in brute_extensions(entry.table)}
+            brute = _sorted_rows(brute_extensions(entry.table))
             lattice = flats(entry.table)
             parts = enumerate_extensible_partitions(entry.table, lattice)
             build = extension_builder(entry.table, lattice)
-            built = set(map(tuple, build(parts).tolist()))
-            if brute != built:
+            if not np.array_equal(brute, _sorted_rows(build(parts))):
                 mism += 1
                 if ok:
                     ok = False
@@ -188,19 +259,29 @@ def cross_check(catalogs, n_max: int | None = None,
     return CrossCheckReport(rows, ext_rows, ok, witness)
 
 
-def _brute_class_count(n: int, k: int) -> int:
-    """Isomorphism classes by grouping the brute enumeration under
-    canonical labeling (no canonical-deletion logic involved), one
-    canonical_forms call per block of complete tables.  Ranks must fit
-    in one byte; ValueError otherwise."""
+def _sorted_rows(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _brute_classes(n: int, k: int):
+    """The isomorphism classes of the brute enumeration, as a set of
+    (canonical form bytes, aut order) pairs, by canonical labeling (no
+    canonical-deletion logic involved), one canonical_forms call per
+    block of complete tables.  Ranks must fit in one byte; ValueError
+    otherwise."""
     from . import canon
 
     masks = sorted(range(1, 1 << n), key=int.bit_count)
     seen = set()
 
     def leaf(rows):
-        forms, _sigma, _aut = canon.canonical_forms(rows, n)
-        seen.update(map(bytes, forms))
+        forms, _sigma, aut = canon.canonical_forms(rows, n)
+        seen.update(zip(map(bytes, forms), aut.tolist()))
 
     _search([0] * (1 << n), masks, n, k, leaf)
-    return len(seen)
+    return seen
+
+
+def _brute_class_count(n: int, k: int) -> int:
+    """The number of isomorphism classes, len(_brute_classes(n, k))."""
+    return len(_brute_classes(n, k))

@@ -148,6 +148,23 @@ class TestVerify:
         assert main(["verify", "--n", "2", "--in", str(bad)]) == 1
         assert "mismatch" in capsys.readouterr().out
 
+    def test_swapped_class_fails(self, catalog_dir, tmp_path, capsys):
+        # X_3 with class 6 replaced by class 17: counts, labeled totals
+        # and duality all still agree
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for p in catalog_dir.iterdir():
+            (bad / p.name).write_bytes(p.read_bytes())
+        path = bad / "polycat-k2-n3.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[7] == "0 0 1 1 2 2 3 3 aut=1\n"
+        assert lines[18] == "0 1 1 2 2 2 3 3 aut=1\n"
+        lines[7] = lines[18]
+        path.write_text("".join(lines))
+        assert main(["verify", "--n", "3", "--in", str(bad)]) == 1
+        assert ("verification failed: class mismatch at n=3: catalog lacks "
+                "0 0 1 1 2 2 3 3 aut=1") in capsys.readouterr().out
+
     def test_reads_only_the_catalogs_checked(self, catalog_dir, tmp_path,
                                              capsys):
         d = tmp_path / "cats"

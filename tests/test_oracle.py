@@ -1,9 +1,10 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
-from polycat import RankTable, flats, oracle, validate
+from polycat import Catalog, CatalogEntry, RankTable, flats, oracle, validate
 from polycat.extensions import (
     enumerate_extensible_partitions,
     extension_builder,
@@ -16,8 +17,8 @@ from polycat.oracle import (
 )
 from tests.test_core import all_tables
 
-# sha256 over the concatenated bytes(rho) of brute_extensions of every
-# X_4 entry, in catalog order (14,100 tables)
+# sha256 over the concatenated bytes of the rows of brute_extensions of
+# every X_4 entry, in catalog order (14,100 tables)
 X4_EXTENSIONS_SHA256 = (
     "78ace02df39c2ffaecc913297b4269092a580584ff61baac9dd70147866b43f8")
 
@@ -39,6 +40,16 @@ def _record_blocks(monkeypatch, cap):
     return blocks
 
 
+def _reversed_masks(n):
+    """The masks by size, largest bitmask first within a size, as
+    brute_labeled_count's order="reversed" assigns them."""
+    return sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), -m))
+
+
+def _rows(tables):
+    return [tuple(r) for r in tables.tolist()]
+
+
 class TestSearch:
     @pytest.mark.parametrize("n, k, count", [(2, 2, 14), (3, 2, 115),
                                              (3, 1, 16)])
@@ -51,12 +62,19 @@ class TestSearch:
                  if validate(RankTable(n, k, rho)) is None]
         assert len(valid) == count
         assert [t.rho for t in all_tables(n, k)] == valid
+        # by size, same-size masks are assigned a run at a time, and the
+        # tables come out lexicographic in the order of assignment
+        masks = _reversed_masks(n)
+        out = []
+        oracle._search([0] * (1 << n), masks, n, k,
+                       lambda rows: out.extend(_rows(rows)))
+        assert out == sorted(valid, key=lambda rho: [rho[m] for m in masks])
 
     def test_split_frontier_keeps_results_and_order(self, cats3,
                                                     monkeypatch):
         def run():
             return (brute_labeled_count(4, 2), _brute_class_count(4, 2),
-                    [[t.rho for t in brute_extensions(e.table)]
+                    [_rows(brute_extensions(e.table))
                      for e in cats3[3].entries])
 
         whole = run()
@@ -81,11 +99,56 @@ class TestSearch:
         h = hashlib.sha256()
         count = 0
         for e in cats5[4].entries:
-            for t in brute_extensions(e.table):
-                h.update(bytes(t.rho))
+            for rho in brute_extensions(e.table).tolist():
+                h.update(bytes(rho))
                 count += 1
         assert count == 14100
         assert h.hexdigest() == X4_EXTENSIONS_SHA256
+
+
+class TestRuns:
+    ORDERS = [lambda n: list(range(1, 1 << n)), _reversed_masks,
+              lambda n: sorted(range(1, 1 << n), key=int.bit_count)]
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (5, 2), (5, 1)])
+    @pytest.mark.parametrize("budget", [1, 64, oracle._SEARCH_ENTRIES])
+    def test_runs_are_same_size_masks_within_budget(self, n, k, budget):
+        size, pairs = 1 << n, (k + 1) * (k + 2) // 2
+        for order in self.ORDERS:
+            masks = tuple(order(n))
+            runs = oracle._runs(masks, k, size, budget)
+            assert [m for r in runs for m in r[0].tolist()] == list(masks)
+            for i, (run, cap, _gather, s, p) in enumerate(runs):
+                run = run.tolist()
+                assert {m.bit_count() for m in run} == {s}
+                assert cap == k * s and p == s * (s - 1) // 2
+                c = len(run)
+                assert c == 1 or max((k + 1) ** c * size, pairs ** c) <= budget
+                # a run is cut only where the next mask would not fit
+                nxt = runs[i + 1][0][0] if i + 1 < len(runs) else None
+                if nxt is not None and int(nxt).bit_count() == s:
+                    assert max((k + 1) ** (c + 1) * size,
+                               pairs ** (c + 1)) > budget
+
+    def test_extension_runs(self):
+        # brute_extensions' order at n = 4 -> 5: the new element, then
+        # its unions with 1, 2, 3 and 4 old elements
+        masks = tuple(sorted((m | 16 for m in range(16)), key=int.bit_count))
+        runs = oracle._runs(masks, 2, 32, oracle._SEARCH_ENTRIES)
+        assert [len(r[0]) for r in runs] == [1, 4, 6, 4, 1]
+
+    def test_budget_one_gives_single_masks(self):
+        runs = oracle._runs(tuple(_reversed_masks(5)), 2, 32, 1)
+        assert len(runs) == 31 and all(len(r[0]) == 1 for r in runs)
+
+    def test_digit_table_is_lexicographic(self):
+        radix, counts, ends, table = oracle._digits(2, 3)
+        assert table.dtype == np.uint8
+        for w in itertools.product(range(4), repeat=3):
+            code = np.array(w) @ radix
+            got = table[ends[code] - counts[code]:ends[code]].tolist()
+            assert got == [list(d) for d in
+                           itertools.product(*map(range, w))]
 
 
 class TestBruteLabeledCount:
@@ -124,22 +187,22 @@ class TestBruteLabeledCount:
 class TestBruteExtensions:
     def test_empty_parent(self):
         exts = brute_extensions(RankTable(0, 2, (0,)))
-        assert sorted(t.rho for t in exts) == [(0, 0), (0, 1), (0, 2)]
+        assert sorted(_rows(exts)) == [(0, 0), (0, 1), (0, 2)]
 
     def test_single_line(self):
         exts = brute_extensions(RankTable(1, 2, (0, 2)))
         assert len(exts) == 6
 
     def test_matches_partition_extensions(self, two_lines):
-        brute = {t.rho for t in brute_extensions(two_lines)}
+        brute = set(_rows(brute_extensions(two_lines)))
         lattice = flats(two_lines)
         rows = enumerate_extensible_partitions(two_lines, lattice)
         built = extension_builder(two_lines, lattice)(rows)
         assert brute == set(map(tuple, built.tolist()))
 
     def test_parent_half_fixed(self, three_lines):
-        for t in brute_extensions(three_lines):
-            assert t.rho[:8] == three_lines.rho
+        for rho in _rows(brute_extensions(three_lines)):
+            assert rho[:8] == three_lines.rho
 
 
 class TestBruteClassCount:
@@ -167,6 +230,34 @@ class TestCrossCheck:
         report = cross_check(cats3[:2], n_max=2)
         assert not report.ok
         assert "missing" in report.first_witness
+
+    def test_swapped_class_reported(self, cats3):
+        # X_3 with its class 6 replaced by class 17: the class counts and
+        # labeled totals still agree, the classes do not
+        x3 = cats3[3]
+        assert x3.ranks[6].tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        entries = list(x3.entries)
+        entries[6] = entries[17]
+        swapped = Catalog(3, 2, entries)
+        report = cross_check(list(cats3[:3]) + [swapped])
+        assert not report.ok
+        assert [r[3:] for r in report.rows] == [(1, 1), (3, 3), (10, 10),
+                                                (40, 40)]
+        assert report.first_witness == (
+            "class mismatch at n=3: catalog lacks 0 0 1 1 2 2 3 3 aut=1")
+
+    def test_wrong_aut_reported(self, cats3):
+        entries = list(cats3[2].entries)
+        first = entries[0]
+        assert first.aut_order == 2
+        entries[0] = CatalogEntry(first.table, 1)
+        entries[1] = CatalogEntry(entries[1].table, 2)
+        cat = Catalog(2, 2, entries)
+        assert cat.labeled_total() == cats3[2].labeled_total()
+        report = cross_check(list(cats3[:2]) + [cat])
+        assert not report.ok
+        assert report.first_witness == (
+            "class mismatch at n=2: catalog has extra 0 0 0 0 aut=1")
 
     def test_as_text_and_csv(self, cats3):
         report = cross_check(cats3)
