@@ -8,6 +8,7 @@ All types here are immutable; every operation returns a new object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,22 +72,31 @@ class Violation:
 
 @dataclass(frozen=True)
 class FlatLattice:
-    """Flats of a polymatroid with ranks, the cover relation and the
-    closure of every subset.
+    """Flats of a polymatroid with ranks and the closure of every
+    subset, and the cover relation, computed from flats on first read.
 
     flats is sorted ascending by bitmask; rank_of is parallel to flats;
-    covers[i] lists the masks of flats covering flats[i]; closure is a
-    read-only intp array whose entry x is the index in flats of cl(X),
-    for every bitmask x.  Equality and hashing use the tuples only.
+    closure is a read-only intp array whose entry x is the index in
+    flats of cl(X), for every bitmask x.  Equality and hashing use
+    flats and rank_of only.
     """
 
     flats: tuple
     rank_of: tuple
-    covers: tuple
     closure: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.flats)
+
+    @cached_property
+    def covers(self) -> tuple:
+        """covers[i] lists the masks of the flats covering flats[i]."""
+        fl = np.array(self.flats)
+        # inside[i, j]: flat i lies strictly inside flat j; j covers i
+        # when no flat lies strictly between them
+        inside = ((fl[:, None] & fl) == fl[:, None]) & (fl[:, None] != fl)
+        cover = inside & (inside @ inside == 0)
+        return tuple(tuple(fl[above].tolist()) for above in cover)
 
 
 def validate(table: RankTable) -> Violation | None:
@@ -132,8 +142,7 @@ def closure(table: RankTable, x: int) -> int:
 
 
 def flats(table: RankTable) -> FlatLattice:
-    """All flats with their ranks, the cover relation (transitive
-    reduction of inclusion) and the closure index of every subset."""
+    """All flats with their ranks and the closure index of every subset."""
     rho = np.array(table.rho)
     masks = np.arange(1 << table.n)
     bits = 1 << np.arange(table.n)
@@ -143,16 +152,7 @@ def flats(table: RankTable) -> FlatLattice:
     fl = np.flatnonzero(cl == masks)
     index = np.searchsorted(fl, cl)
     index.flags.writeable = False
-    # inside[i, j]: flat i lies strictly inside flat j; j covers i when
-    # no flat lies strictly between them
-    inside = (fl[:, None] & fl) == fl[:, None]
-    np.fill_diagonal(inside, False)
-    below, above = np.nonzero(inside & (inside @ inside == 0))
-    covers = [[] for _ in fl]
-    for i, g in zip(below.tolist(), fl[above].tolist()):
-        covers[i].append(g)
-    return FlatLattice(tuple(fl.tolist()), tuple(rho[fl].tolist()),
-                       tuple(map(tuple, covers)), index)
+    return FlatLattice(tuple(fl.tolist()), tuple(rho[fl].tolist()), index)
 
 
 def modular_defect(table: RankTable, x: int, y: int) -> int:

@@ -12,15 +12,15 @@ check_partition for diagnostics.
 
 enumerate_extensible_partitions assigns the flats supersets-first, one
 numpy pass per flat over a frontier of all partial assignments, and
-returns the partitions as the rows of one array.  Each condition bounds
-a flat assigned later (a subset, or the meet of a pair) by flats
-assigned earlier, so every row carries per-flat lower and upper bounds
-that are tightened as soon as a value is fixed.  The frontier is kept
-flat-major and contiguous (one run of rows per flat), so that reading
-or writing one flat's bounds on every row moves whole runs; a row whose
-bounds emptied is dropped by the next expansion rather than by a copy
-of its own.  extension_builder turns one row, or a block of rows, into
-extension rank tables.
+returns the partitions as the rows of one array, in the frontier's
+order.  Each condition bounds a flat assigned later (a subset, or the
+meet of a pair) by flats assigned earlier, so every row carries
+per-flat lower and upper bounds that are tightened as soon as a value
+is fixed.  The frontier is kept flat-major and contiguous (one run of
+rows per flat), so that reading or writing one flat's bounds on every
+row moves whole runs; a row whose bounds emptied is dropped by the next
+expansion rather than by a copy of its own.  extension_builder turns
+rows into extension rank tables.
 """
 
 from __future__ import annotations
@@ -250,7 +250,9 @@ def _frontier(parent: RankTable, lattice: FlatLattice):
 def enumerate_extensible_partitions(parent: RankTable,
                                     lattice: FlatLattice | None = None):
     """The mu-vectors of every extensible partition as the rows of one
-    array (int8, or int64 when k(n+2) >= 128), sorted lexicographically.
+    array (int8, or int64 when k(n+2) >= 128), as the frontier leaves
+    them: strictly increasing lexicographically in search order (flats
+    by decreasing size, ties by flat index), not in flat order.
 
     The flats are assigned supersets-first, all partial assignments at
     once: a frontier of rows holding per-flat lower and upper bounds
@@ -292,7 +294,7 @@ def enumerate_extensible_partitions(parent: RankTable,
     mu, live = _frontier(parent, lattice)
     if live is not None:
         mu = mu.compress(live, axis=1)
-    return mu.T[np.lexsort(mu[::-1])]
+    return np.ascontiguousarray(mu.T)
 
 
 def _row_dtype(parent: RankTable):
@@ -305,8 +307,8 @@ def _row_dtype(parent: RankTable):
 
 def _partitions_by_filter(parent: RankTable, lattice: FlatLattice):
     """Reference path for enumerate_extensible_partitions, with the same
-    result: every (k+1)^|flats| assignment, in lexicographic order,
-    screened through check_partition."""
+    rows in flat order: every (k+1)^|flats| assignment, in lexicographic
+    order, screened through check_partition."""
     rows = [mu for mu in itertools.product(range(parent.k + 1),
                                            repeat=len(lattice))
             if check_partition(parent, mu, lattice) is None]
@@ -367,13 +369,8 @@ def extension_flats(parent: RankTable, mu,
     for i, f in enumerate(lattice.flats):
         if mu[i] > 0:
             out.append(f)
-            tight = any(
-                rho[f] + mu[i] == rho[g] + mu[cl[g]]
-                for g in lattice.covers[i]
-            )
-            if not tight:
-                out.append(f | e_bit)
-        else:
+        if mu[i] == 0 or all(rho[f] + mu[i] != rho[g] + mu[cl[g]]
+                             for g in lattice.covers[i]):
             out.append(f | e_bit)
     out.sort()
     return tuple(out)

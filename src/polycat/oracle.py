@@ -30,6 +30,10 @@ from .core import RankTable
 # next.  A single row is never split: a run of c masks gives it at most
 # (k + 1)^c children, and runs are cut to keep that within the budget.
 _SEARCH_ENTRIES = 1 << 16
+# cross_check compares the extensions of parents up to this n one by
+# one: X_0..X_3's 54 parents take milliseconds, and X_4's 228 would
+# cost over three times the rest of a cross_check up to n = 4
+_EXTENSION_N_MAX = 3
 
 
 def _mask_gathers(m):
@@ -199,12 +203,11 @@ class CrossCheckReport:
         return "\n".join(lines) + "\n"
 
 
-def cross_check(catalogs, n_max: int | None = None,
-                extension_n_max: int = 3) -> CrossCheckReport:
+def cross_check(catalogs, n_max: int | None = None) -> CrossCheckReport:
     """Compare the catalogs against brute force, per n: labeled totals,
-    isomorphism-class counts, the classes themselves as (canonical form,
-    aut order) pairs, and (up to extension_n_max) per-parent extension
-    sets versus the partition-generated ones."""
+    class counts and the classes as (canonical form, aut order) pairs,
+    from one brute enumeration, and (up to _EXTENSION_N_MAX) per-parent
+    extension sets versus the partition-generated ones."""
     from .core import flats
     from .extensions import enumerate_extensible_partitions, extension_builder
 
@@ -221,9 +224,8 @@ def cross_check(catalogs, n_max: int | None = None,
             ok = False
             witness = witness or f"missing catalog for n={n}"
             continue
-        total, _per_rank = brute_labeled_count(n, cat.k)
+        classes, total = _brute_classes(n, cat.k)
         cat_labeled = cat.labeled_total()
-        classes = _brute_classes(n, cat.k)
         rows.append((n, total, cat_labeled, len(classes), len(cat)))
         if not ok:
             continue
@@ -239,7 +241,7 @@ def cross_check(catalogs, n_max: int | None = None,
             side = "lacks" if (form, aut) in classes else "has extra"
             witness = (f"class mismatch at n={n}: catalog {side} "
                        f"{' '.join(map(str, form))} aut={aut}")
-    for n in range(min(n_max, extension_n_max) + 1):
+    for n in range(min(n_max, _EXTENSION_N_MAX) + 1):
         cat = cats.get(n)
         if cat is None:
             continue
@@ -267,21 +269,22 @@ def _brute_classes(n: int, k: int):
     """The isomorphism classes of the brute enumeration, as a set of
     (canonical form bytes, aut order) pairs, by canonical labeling (no
     canonical-deletion logic involved), one canonical_forms call per
-    block of complete tables.  Ranks must fit in one byte; ValueError
-    otherwise."""
+    block of complete tables, and how many tables it saw (the labeled
+    total).  Ranks must fit in one byte; ValueError otherwise."""
     from . import canon
 
     masks = sorted(range(1, 1 << n), key=int.bit_count)
-    seen = set()
+    seen, sizes = set(), []
 
     def leaf(rows):
+        sizes.append(len(rows))
         forms, _sigma, aut = canon.canonical_forms(rows, n)
         seen.update(zip(map(bytes, forms), aut.tolist()))
 
     _search([0] * (1 << n), masks, n, k, leaf)
-    return seen
+    return seen, sum(sizes)
 
 
 def _brute_class_count(n: int, k: int) -> int:
-    """The number of isomorphism classes, len(_brute_classes(n, k))."""
-    return len(_brute_classes(n, k))
+    """The number of isomorphism classes, len(_brute_classes(n, k)[0])."""
+    return len(_brute_classes(n, k)[0])

@@ -50,7 +50,7 @@ FILTER_COUNTS = {1: 1, 2: 2, 3: 8, 4: 51, 5: 696, 6: 49121}
 # order, in catalog order
 N6_SHA256 = "b066e6df13a160af8fb14f9ea8e63ee1609f91022f9cd81abcdf8b612e613e39"
 # sha256 over every X_5 parent's enumerated partition rows (rows.tobytes()),
-# in catalog order
+# sorted into flat order, in catalog order
 X5_PARTITIONS_SHA256 = (
     "9ba108ea906f71929f673510e3dff00b8d028c4abcd2732fc3394444b3c9bbbd")
 # sha256 over the concatenated records (extensions_of_parent) of every
@@ -122,7 +122,8 @@ def _labeled_by_partition_counting(cat):
     each one extends exactly one labeled deletion, and each labeled
     parent P by exactly #partitions(P) of them, of rank
     rho(S) + mu[S] (the full set is the last flat).  Also returns the
-    partition count and the sha256 over every parent's rows."""
+    partition count and the sha256 over every parent's rows, each
+    parent's sorted into flat order."""
     counts = [0] * (cat.k * (cat.n + 1) + 1)
     total = 0
     digest = hashlib.sha256()
@@ -130,7 +131,7 @@ def _labeled_by_partition_counting(cat):
     for e in cat.entries:
         parts = enumerate_extensible_partitions(e.table)
         total += len(parts)
-        digest.update(parts.tobytes())
+        digest.update(parts[np.lexsort(parts.T[::-1])].tobytes())
         for top in parts[:, -1].tolist():
             counts[e.table.rank + top] += fact // e.aut_order
     return counts, total, digest.hexdigest()

@@ -166,6 +166,14 @@ class TestFlats:
                     for g in fs:
                         assert f & g in fs
 
+    def test_covers_built_on_first_read(self, two_lines):
+        lat, twin = flats(two_lines), flats(two_lines)
+        assert "covers" not in vars(lat)
+        assert lat == twin and hash(lat) == hash(twin)
+        assert lat.covers == ((0b01, 0b10), (0b11,), (0b11,), ())
+        assert "covers" in vars(lat) and "covers" not in vars(twin)
+        assert lat == twin and hash(lat) == hash(twin)
+
     def test_covers_are_transitive_reduction(self, cats3):
         for e in cats3[3].entries:
             lat = flats(e.table)

@@ -226,6 +226,33 @@ class TestCrossCheck:
         for _n, brute, labeled, classes, size in report.rows:
             assert brute == labeled and classes == size
 
+    def test_one_brute_enumeration_per_n(self, cats3, monkeypatch):
+        # the class search counts the labeled tables too; the only other
+        # searches are brute_extensions, one per parent with n <= 3
+        calls = []
+        search = oracle._search
+
+        def counting(rho, *args):
+            calls.append(len(rho))
+            return search(rho, *args)
+
+        def no_labeled_count(*args, **kwargs):
+            raise AssertionError("brute_labeled_count called")
+
+        monkeypatch.setattr(oracle, "_search", counting)
+        monkeypatch.setattr(oracle, "brute_labeled_count", no_labeled_count)
+        report = cross_check(cats3)
+        whole = [1 << n for n in range(4)]
+        extensions = [2 << cat.n for cat in cats3 for _ in cat.entries]
+        assert sorted(calls) == sorted(whole + extensions)
+        assert report.ok
+        assert [r[1] for r in report.rows] == [1, 3, 14, 115]
+
+    def test_brute_classes_count_the_labeled_tables(self):
+        for n, k in ((0, 2), (2, 1), (3, 1), (3, 2), (4, 2)):
+            _classes, labeled = oracle._brute_classes(n, k)
+            assert labeled == brute_labeled_count(n, k)[0]
+
     def test_missing_catalog_reported(self, cats3):
         report = cross_check(cats3[:2], n_max=2)
         assert not report.ok
