@@ -27,14 +27,10 @@ def cmd_enumerate(args):
     print(f"n=0 count=1", file=sys.stderr)
     for n in range(args.n):
         path = _catalog_path(args.out, n + 1, args.k)
-        if args.stream:
-            stats = gen.generate_next_stream(cat, path, jobs=args.jobs)
-            if n + 1 < args.n:
-                # the next step's parents; the last catalog is not read
-                cat = gen.read_catalog(path)
-        else:
-            cat, stats = gen.generate_next(cat, jobs=args.jobs)
-            gen.write_catalog(cat, path)
+        stats = gen.generate_next_stream(cat, path, jobs=args.jobs)
+        if n + 1 < args.n:
+            # the next step's parents; the last catalog is not read
+            cat = gen.read_catalog(path)
         print(
             f"n={n + 1} count={stats.accepted} "
             f"partitions={stats.partitions} rejected={stats.rejected} "
@@ -160,8 +156,6 @@ def build_parser():
     p.add_argument("--k", type=int, default=2, choices=(1, 2))
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--stream", action="store_true",
-                   help="write extensions through a temporary disk file")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("count", help="print count tables from catalogs")

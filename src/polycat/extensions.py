@@ -342,14 +342,13 @@ def _require_extensible(parent, mu, lattice):
                          f"flats {bad.flats}")
 
 
-def extend(parent: RankTable, mu, lattice: FlatLattice | None = None,
-           checked: bool = True) -> RankTable:
+def extend(parent: RankTable, mu,
+           lattice: FlatLattice | None = None) -> RankTable:
     """The single-element extension defined by a partition's mu-vector;
     the new element is numbered n+1 (the highest bit)."""
     if lattice is None:
         lattice = flats(parent)
-    if checked:
-        _require_extensible(parent, mu, lattice)
+    _require_extensible(parent, mu, lattice)
     ext = extension_builder(parent, lattice)(mu)
     return RankTable(parent.n + 1, parent.k, tuple(ext.tolist()))
 

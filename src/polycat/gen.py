@@ -24,10 +24,11 @@ distinct rank rows in byte order, cuts them into blocks and runs the
 blocks in order, serially or on a process pool, and after it nothing
 sorts or merges.  generate_next concatenates the blocks' records into
 a catalog's arrays; generate_next_stream appends them to one unnamed
-temporary file and formats that file, a block of records at a time,
-into the catalog file.  write_catalog shares that numpy block
-formatter, and read_catalog parses the file in numpy, a bounded chunk
-of lines at a time.
+temporary file and passes that file, a block of records at a time, to
+the one catalog writer, _write_text, which write_catalog calls too.
+It formats each block in numpy and renames a complete file onto the
+catalog's path.  read_catalog parses the file in numpy, a bounded
+chunk of lines at a time.
 """
 
 from __future__ import annotations
@@ -308,36 +309,23 @@ def generate_next_stream(xn: Catalog, out_path, jobs: int = 1,
     kept: each block's records are appended, in the order _blocks gives
     them, to one temporary file with no name in shard_dir (default: the
     output's directory), which the system frees however the run ends.
-    That file is then formatted _ROWS records at a time into a temporary
-    catalog beside out_path, which is renamed onto it at the end, so a
-    failed run leaves any earlier file at out_path as it was.  Only
+    That file is then passed to _write_text _ROWS records at a time, so
+    a failed run leaves any earlier file at out_path as it was.  Only
     counts are kept in memory."""
     start = time.monotonic()
-    out_dir = os.path.dirname(os.path.abspath(out_path))
     width = (2 << xn.n) + 4
     stats = GenerationStats()
-    with tempfile.TemporaryFile(dir=shard_dir or out_dir) as records:
+    shard_dir = shard_dir or os.path.dirname(os.path.abspath(out_path))
+    with tempfile.TemporaryFile(dir=shard_dir) as records:
         for block, st in _blocks(xn, jobs):
             stats.merge(st)
             records.write(block)
         records.seek(0)
-        fd, tmp = tempfile.mkstemp(prefix=".catalog-", dir=out_dir)
-        try:
-            with open(fd, "wb") as out:
-                out.write(_header(xn.n + 1, xn.k, stats.accepted))
-                while batch := records.read(_ROWS * width):
-                    rows = np.frombuffer(batch, dtype=np.uint8)
-                    rows = rows.reshape(-1, width)
-                    out.write(_format_entries(rows[:, :-4], _auts(rows)))
-            # mkstemp makes the file private; give it the mode a plain
-            # open would have
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, out_path)
-        except BaseException:
-            os.remove(tmp)
-            raise
+        reads = iter(functools.partial(records.read, _ROWS * width), b"")
+        rows = (np.frombuffer(b, dtype=np.uint8).reshape(-1, width)
+                for b in reads)
+        _write_text(out_path, xn.n + 1, xn.k, stats.accepted,
+                    ((r[:, :-4], _auts(r)) for r in rows))
     stats.wall_time = time.monotonic() - start
     return stats
 
@@ -423,10 +411,6 @@ _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 _AUT = np.frombuffer(b"aut=", dtype=np.uint8)
 
 
-def _header(n, k, count):
-    return f"POLYCAT v1 n={n} k={k} count={count}\n".encode()
-
-
 def _decimal(values, head, tail):
     """Each of an array of non-negative integers in decimal between the
     bytes head and tail, in cells of one width along a new last axis:
@@ -457,12 +441,34 @@ def _format_entries(ranks, auts):
     return text[keep].tobytes()
 
 
+def _write_text(path, n, k, count, batches):
+    """Write a catalog file: the header, then each (ranks, auts) batch
+    through _format_entries, into a temporary file beside path that is
+    renamed onto it only when complete.  On any exception the temporary
+    file is removed, so a failed write leaves any earlier file at path
+    as it was."""
+    fd, tmp = tempfile.mkstemp(prefix=".catalog-",
+                               dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with open(fd, "wb") as out:
+            out.write(f"POLYCAT v1 n={n} k={k} count={count}\n".encode())
+            for ranks, auts in batches:
+                out.write(_format_entries(ranks, auts))
+        # mkstemp makes the file private; give it the mode a plain
+        # open would have
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_catalog(catalog: Catalog, path):
-    with open(path, "wb") as fh:
-        fh.write(_header(catalog.n, catalog.k, len(catalog)))
-        for i in range(0, len(catalog), _ROWS):
-            fh.write(_format_entries(catalog.ranks[i:i + _ROWS],
-                                     catalog.auts[i:i + _ROWS]))
+    _write_text(path, catalog.n, catalog.k, len(catalog),
+                ((catalog.ranks[i:i + _ROWS], catalog.auts[i:i + _ROWS])
+                 for i in range(0, len(catalog), _ROWS)))
 
 
 def read_catalog(path) -> Catalog:

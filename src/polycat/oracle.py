@@ -142,28 +142,17 @@ def _search(rho, masks, n, k, leaf):
             leaf(rows)
 
 
-def brute_labeled_count(n: int, k: int, order: str = "forward"):
+def brute_labeled_count(n: int, k: int):
     """(total, per-rank counts) of all valid labeled k-polymatroid tables
-    on {1, ..., n}.
-
-    order="reversed" assigns table entries largest-bitmask-first within
-    each cardinality-compatible schedule; the counts must not change.
-    """
+    on {1, ..., n}."""
     size = 1 << n
-    if order == "forward":
-        masks = list(range(1, size))
-    elif order == "reversed":
-        # any order with subsets before supersets is admissible
-        masks = sorted(range(1, size), key=lambda m: (m.bit_count(), -m))
-    else:
-        raise ValueError(f"unknown order {order!r}")
     per_rank = np.zeros(k * n + 1, dtype=np.int64)
     full = size - 1
 
     def leaf(rows):
         per_rank[:] += np.bincount(rows[:, full], minlength=len(per_rank))
 
-    _search([0] * size, masks, n, k, leaf)
+    _search([0] * size, list(range(1, size)), n, k, leaf)
     return int(per_rank.sum()), per_rank.tolist()
 
 
@@ -283,8 +272,3 @@ def _brute_classes(n: int, k: int):
 
     _search([0] * (1 << n), masks, n, k, leaf)
     return seen, sum(sizes)
-
-
-def _brute_class_count(n: int, k: int) -> int:
-    """The number of isomorphism classes, len(_brute_classes(n, k)[0])."""
-    return len(_brute_classes(n, k)[0])

@@ -1,10 +1,14 @@
 import os
+import shlex
 
 import pytest
 
-from polycat import gen, read_catalog
-from polycat.cli import main
+from polycat import enumerate_all, gen, read_catalog, write_catalog
+from polycat.cli import build_parser, main
 from polycat.core import MAX_N
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                      "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -21,17 +25,14 @@ class TestEnumerate:
         sizes = [len(read_catalog(catalog_dir / n)) for n in names]
         assert sizes == [1, 3, 10, 40]
 
-    def test_stream_matches_default(self, catalog_dir, tmp_path):
-        out = tmp_path / "stream"
-        assert main(["enumerate", "--n", "3", "--out", str(out),
-                     "--jobs", "1", "--stream"]) == 0
-        for n in range(4):
-            name = f"polycat-k2-n{n}.txt"
-            assert (out / name).read_bytes() == \
-                (catalog_dir / name).read_bytes()
+    def test_matches_write_catalog(self, catalog_dir, tmp_path):
+        for cat in enumerate_all(3, 2):
+            write_catalog(cat, tmp_path / "ref.txt")
+            name = f"polycat-k2-n{cat.n}.txt"
+            assert (catalog_dir / name).read_bytes() == \
+                (tmp_path / "ref.txt").read_bytes()
 
-    def test_stream_reads_back_all_but_the_last(self, tmp_path,
-                                                monkeypatch):
+    def test_reads_back_all_but_the_last(self, tmp_path, monkeypatch):
         read = []
 
         def counting(path):
@@ -40,7 +41,7 @@ class TestEnumerate:
 
         monkeypatch.setattr(gen, "read_catalog", counting)
         assert main(["enumerate", "--n", "3", "--out", str(tmp_path),
-                     "--jobs", "1", "--stream"]) == 0
+                     "--jobs", "1"]) == 0
         assert read == ["polycat-k2-n1.txt", "polycat-k2-n2.txt"]
 
     def test_step_lines_count_canonical_forms(self, tmp_path, capsys):
@@ -56,7 +57,7 @@ class TestEnumerate:
             raise AssertionError("a step ran")
 
         # without the check, --n 9 would run every step up to n=8
-        monkeypatch.setattr(gen, "generate_next", step)
+        monkeypatch.setattr(gen, "generate_next_stream", step)
         out = tmp_path / "cats"
         assert main(["enumerate", "--n", str(n), "--out", str(out),
                      "--jobs", "1"]) == 2
@@ -240,3 +241,22 @@ class TestInfo:
         f = tmp_path / "junk.txt"
         f.write_text("garbage\n")
         assert main(["info", "--file", str(f)]) == 2
+
+
+def test_readme_commands_parse():
+    # every command in the README's "Command line" block, so that a
+    # removed option cannot stay documented
+    with open(README) as fh:
+        text = fh.read().split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines()]
+    commands = [c for c in commands if c]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for command in commands:
+        assert command[0] == "polycat"
+        try:
+            parser.parse_args(command[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

@@ -76,9 +76,10 @@ class TestCheckPartition:
         # every assignment either passes and induces a valid extension,
         # or fails and induces an invalid table (oracle = validate)
         lat = flats(two_lines)
+        build = extension_builder(two_lines, lat)
         for mu in itertools.product(range(3), repeat=4):
             verdict = check_partition(two_lines, mu, lat)
-            ext = extend(two_lines, mu, lat, checked=False)
+            ext = RankTable(3, 2, tuple(build(mu).tolist()))
             assert (verdict is None) == (validate(ext) is None), mu
 
     def test_down_closure_violation_reported(self, two_lines):

@@ -531,6 +531,27 @@ class TestCatalogFiles:
         with pytest.raises(ValueError):
             read_catalog(p)
 
+    def test_write_failure_keeps_the_old_catalog(self, cats5, tmp_path,
+                                                 monkeypatch):
+        out = tmp_path / "out.txt"
+        write_catalog(cats5[4], out)
+        old = out.read_bytes()
+        real, calls = gen._format_entries, []
+
+        def failing(ranks, auts):
+            calls.append(len(ranks))
+            if len(calls) == 2:
+                raise RuntimeError("injected failure")
+            return real(ranks, auts)
+
+        monkeypatch.setattr(gen, "_ROWS", 64)
+        monkeypatch.setattr(gen, "_format_entries", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            write_catalog(cats5[5], out)
+        assert calls == [64, 64]
+        assert out.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_stream_matches_in_memory(self, cats5, tmp_path, jobs):
         nxt, ref_stats = generate_next(cats5[3], jobs=jobs)
