@@ -15,6 +15,9 @@ import numpy as np
 # canonical labeling compares relabelings as uint8 gathers of n! rows;
 # n = 8 is the last size where that table stays small (10 MB)
 MAX_N = 8
+# the largest element-rank cap for which every rank, at most k * n,
+# fits in one byte on every ground set, as canonical labeling needs
+MAX_K = 255 // MAX_N
 
 
 def bits_of(m: int):
@@ -30,7 +33,7 @@ class RankTable:
     """A k-polymatroid as a dense rank table.
 
     rho has 2^n entries in increasing-bitmask order; rho[m] is the rank of
-    the subset with bitmask m.
+    the subset with bitmask m.  n lies in [0, MAX_N] and k in [1, MAX_K].
     """
 
     n: int
@@ -40,8 +43,8 @@ class RankTable:
     def __post_init__(self):
         if not 0 <= self.n <= MAX_N:
             raise ValueError(f"ground-set size {self.n} outside [0, {MAX_N}]")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        if not 1 <= self.k <= MAX_K:
+            raise ValueError(f"element-rank cap {self.k} outside [1, {MAX_K}]")
         if len(self.rho) != 1 << self.n:
             raise ValueError(
                 f"rank table has {len(self.rho)} entries, expected {1 << self.n}"
@@ -164,12 +167,11 @@ def modular_defect(table: RankTable, x: int, y: int) -> int:
 def k_duals(rows, k: int):
     """The k-duals of a block of same-n tables, one per row of an
     integer matrix: rho*(X) = k|X| + rho(S-X) - rho(S), where S - X is
-    the mirrored mask.  Byte ranks give int16 rows while k * n stays
-    below 2^14, and any other rows int64."""
+    the mirrored mask.  The duals are int16 rows, which hold the dual of
+    any table with ranks in [0, k * n], since k * n <= 255."""
     rows = np.asarray(rows)
     size = rows.shape[1]
-    small = rows.dtype == np.uint8 and k * (size.bit_length() - 1) < 1 << 14
-    duals = rows[:, ::-1].astype(np.int16 if small else np.int64)
+    duals = rows[:, ::-1].astype(np.int16)
     duals -= rows[:, -1:]
     duals += [k * m.bit_count() for m in range(size)]
     return duals

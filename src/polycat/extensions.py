@@ -318,15 +318,15 @@ def _partitions_by_filter(parent: RankTable, lattice: FlatLattice):
 def extension_builder(parent: RankTable, lattice: FlatLattice):
     """A function build(rows) for repeated use on one parent: it maps a
     mu-vector to the extension's rank table [rho | rho + mu[cl(X)]], and
-    a 2-D block of them to one table per row, as a numpy array of uint8
-    when k(n+1) <= 255 and of int64 otherwise."""
-    dtype = np.uint8 if parent.k * (parent.n + 1) <= 255 else np.int64
-    rho = np.array(parent.rho, dtype)
+    a 2-D block of them to one table per row, as a uint8 numpy array.
+    Its ranks, at most k(n+1), fit in a byte for a parent of fewer than
+    core.MAX_N elements."""
+    rho = np.array(parent.rho, np.uint8)
     cl_idx = lattice.closure
 
     def build(rows):
         rows = np.asarray(rows)
-        ext = np.empty(rows.shape[:-1] + (2 * len(rho),), dtype)
+        ext = np.empty(rows.shape[:-1] + (2 * len(rho),), np.uint8)
         ext[..., :len(rho)] = rho
         ext[..., len(rho):] = rho + rows[..., cl_idx]
         return ext

@@ -14,6 +14,9 @@ canon.anchored_forms decides the whole block in one search, labeling
 only the accepted rows.  Extensions of distinct parents are never
 compared, so the outer loop parallelizes with no shared state.
 
+Every rank is one byte, since core caps k at MAX_K and Catalog and
+read_catalog refuse ranks outside [0, k * n].
+
 An accepted class travels as one record, a row of a uint8 matrix: its
 2^(n+1) rank bytes, then its aut order as 4 big-endian bytes, so that
 rows in byte order are entries in catalog order.  A class is accepted
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import canon
-from .core import MAX_N, RankTable, flats, k_duals
+from .core import MAX_K, MAX_N, RankTable, flats, k_duals
 from .extensions import enumerate_extensible_partitions, extension_builder
 
 # Partition rows folded and built at a time in extensions_of_parent, so
@@ -76,19 +79,24 @@ class CatalogEntry:
 
 class Catalog:
     """Canonical representatives for fixed (n, k), sorted by rank table:
-    ranks is an (m, 2^n) matrix, uint8 when every rank fits in a byte,
-    and auts the (m,) int64 aut orders.  Catalog(n, k, entries) packs a
-    sequence of CatalogEntry; entries is made on first read."""
+    ranks is an (m, 2^n) uint8 matrix and auts the (m,) int64 aut
+    orders.  Catalog(n, k, entries) packs a sequence of CatalogEntry,
+    whose ranks must lie in [0, k * n] for a k in [1, MAX_K], or
+    ValueError; entries is made on first read."""
 
     def __init__(self, n, k, entries):
+        if not 1 <= k <= MAX_K:
+            raise ValueError(f"element-rank cap {k} outside [1, {MAX_K}]")
         rows = np.array([e.table.rho for e in entries], dtype=np.int64)
+        if rows.size and not 0 <= rows.min() <= rows.max() <= k * n:
+            raise ValueError(f"catalog ranks must lie in [0, {k * n}]")
         self.n, self.k = n, k
-        self.ranks = _narrow(rows.reshape(-1, 1 << n))
+        self.ranks = rows.reshape(-1, 1 << n).astype(np.uint8)
         self.auts = np.array([e.aut_order for e in entries], dtype=np.int64)
 
     @classmethod
     def _of(cls, n, k, ranks, auts):
-        """A catalog holding narrowed, C-contiguous arrays as they are."""
+        """A catalog holding C-contiguous uint8 ranks and int64 auts."""
         cat = cls.__new__(cls)
         cat.n, cat.k, cat.ranks, cat.auts = n, k, ranks, auts
         return cat
@@ -109,10 +117,8 @@ class Catalog:
         return len(self.auts)
 
     def _per_rank(self, weights=None):
-        top, full = self.k * self.n, self.ranks[:, -1]
-        if len(full) and full.max() > top:
-            raise ValueError(f"catalog rank {full.max()} above k*n = {top}")
-        return np.bincount(full, weights, minlength=top + 1)
+        return np.bincount(self.ranks[:, -1], weights,
+                           minlength=self.k * self.n + 1)
 
     def rank_counts(self):
         """Per-rank histogram, index r = number of entries of rank r."""
@@ -124,12 +130,6 @@ class Catalog:
 
     def labeled_total(self):
         return sum(self.labeled_rank_counts())
-
-
-def _narrow(ranks):
-    """A rank matrix as uint8 if every rank fits in a byte, else as is."""
-    fits = not ranks.size or 0 <= ranks.min() <= ranks.max() <= 255
-    return ranks.astype(np.uint8) if fits else ranks
 
 
 @dataclass
@@ -208,11 +208,12 @@ def extensions_of_parent(parent: RankTable):
     automorphism g of the parent, extended to the new element e by
     fixing it, relabels ext(mu o g) into ext(mu), since
     rho(gX) + mu(cl gX) = rho(X) + (mu o g)(cl X); so a whole orbit
-    shares one canonical form and one accept or reject decision."""
+    shares one canonical form and one accept or reject decision.  A
+    parent of MAX_N elements has no extension table, so ValueError."""
     global _canonical_calls
     n = parent.n
-    if parent.k * (n + 1) > 255:
-        raise ValueError("extension ranks must fit in one byte")
+    if n >= MAX_N:
+        raise ValueError(f"no extension beyond {MAX_N} elements")
     lattice = flats(parent)
     rows = enumerate_extensible_partitions(parent, lattice)
     parent_bytes = bytes(parent.rho)
@@ -268,12 +269,9 @@ def _blocks(xn: Catalog, jobs: int):
     parents are xn's distinct rank rows in byte order; each class is
     accepted at one parent and its record starts with that parent's
     table, so the blocks' records, concatenated, are the next catalog's
-    rows in order, each class once.  Ranks must fit in one byte, or
-    ValueError.  The parents are cut into at most 1024 blocks; with
-    jobs > 1 and at least 4 parents the blocks run on a pool of that
-    many processes."""
-    if xn.ranks.dtype != np.uint8:
-        raise ValueError("catalog ranks must fit in one byte")
+    rows in order, each class once.  The parents are cut into at most
+    1024 blocks; with jobs > 1 and at least 4 parents the blocks run on
+    a pool of that many processes."""
     parents = _distinct_rows(xn.ranks)
     chunk = max(1, (len(parents) + 1023) // 1024)
     tasks = [(xn.k, parents[i:i + chunk])
@@ -380,12 +378,9 @@ def duality_check(catalog: Catalog):
     """None if k-duality permutes the catalog and the per-rank histogram
     is palindromic; otherwise the offending entry (the first in catalog
     order whose dual is missing) or rank.  The duals are labeled in one
-    canonical_forms call and looked up among the sorted catalog rows;
-    ranks must fit in one byte, or ValueError."""
+    canonical_forms call and looked up among the sorted catalog rows."""
     size = 1 << catalog.n
     tables = catalog.ranks
-    if tables.dtype != np.uint8:
-        raise ValueError("catalog ranks must fit in one byte")
     duals, _sigma, _aut = canon.canonical_forms(
         k_duals(tables, catalog.k), catalog.n)
     keys = np.sort(tables.view(f"V{size}").ravel())
@@ -475,28 +470,28 @@ def read_catalog(path) -> Catalog:
     with open(path, "rb") as fh:
         head = fh.readline().decode(errors="replace")
         m = _HEADER_RE.match(head.strip())
-        if not m or int(m[1]) > MAX_N or int(m[2]) < 1:
+        if not m or int(m[1]) > MAX_N or not 1 <= int(m[2]) <= MAX_K:
             raise ValueError(f"{path}: bad catalog header {head!r}")
         n, k, count = map(int, m.groups())
         # an empty chunk's arrays, then lines of about _READ_BYTES each
-        parts = [_parse_entries(b"", n, path)]
+        parts = [_parse_entries(b"", n, k, path)]
         while lines := fh.readlines(_READ_BYTES):
-            parts.append(_parse_entries(b"".join(lines), n, path))
+            parts.append(_parse_entries(b"".join(lines), n, k, path))
     ranks, auts = (np.concatenate(arrays) for arrays in zip(*parts))
     if len(auts) != count:
         raise ValueError(f"{path}: header count {count} != {len(auts)}")
     return Catalog._of(n, k, ranks, auts)
 
 
-def _parse_entries(chunk, n, path):
+def _parse_entries(chunk, n, k, path):
     """The entries in a chunk of whole lines, skipping blank lines, as a
-    narrowed rank matrix and a copied int64 vector of aut orders, so no
-    int64 chunk outlives the parse.  An entry line is 2^n ranks and then
-    aut=<order>, each in decimal digits, separated by whitespace, with
-    an order that divides n!; any other line raises ValueError.  The
-    chunk is read as one uint8 array: tokens are the runs of non-space
-    bytes, and each token's value is summed over its digits, one place
-    at a time."""
+    uint8 rank matrix and a copied int64 vector of aut orders, so no
+    int64 chunk outlives the parse.  An entry line is 2^n ranks of at
+    most k * n and then aut=<order>, each in decimal digits, separated
+    by whitespace, with an order that divides n!; any other line raises
+    ValueError.  The chunk is read as one uint8 array: tokens are the
+    runs of non-space bytes, and each token's value is summed over its
+    digits, one place at a time."""
     b = np.frombuffer(chunk, dtype=np.uint8)
     space = _SPACE[b]
     edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
@@ -526,8 +521,9 @@ def _parse_entries(chunk, n, path):
     # an aut order is the order of a subgroup of S_n, so it divides n!
     # (gcd(0, n!) = n!, so aut=0 is marked too)
     bad[line[last & (np.gcd(value, math.factorial(n)) != value)]] = True
+    bad[line[~last & (value > k * n)]] = True
     if bad.any():
         text = re.split(rb"[\n\r]", chunk)[bad.argmax()]
         raise ValueError(f"{path}: malformed entry {text!r}")
     rows = value.reshape(-1, (1 << n) + 1)
-    return _narrow(rows[:, :-1]), rows[:, -1].copy()
+    return rows[:, :-1].astype(np.uint8), rows[:, -1].copy()

@@ -93,17 +93,17 @@ def _digits(k, c):
 def _search(rho, masks, n, k, leaf):
     """Assign rho[m] for the masks in order, over every value the
     monotone, step, cardinality and local submodular bounds allow, and
-    call leaf(rows) on each block of complete tables, one table per row.
+    call leaf(rows) on each block of complete tables, one table per int16
+    row, which holds every bound (at most 2kn) for k up to core.MAX_K.
     Every proper subset of a mask must be fixed in rho or come earlier
     in masks.  Blocks arrive in depth-first, lexicographic order.  Each
     level assigns one run of _runs for every row."""
-    dtype = np.int16 if 2 * k * n < 1 << 15 else np.int64
     size = len(rho)
     budget = _SEARCH_ENTRIES
     plan = _runs(tuple(masks), k, size, budget)
     # each entry is a block of rows, its level, and the level's bounds
     # on it when a larger block was split there
-    stack = [(np.array([rho], dtype=dtype), 0, None)]
+    stack = [(np.array([rho], dtype=np.int16), 0, None)]
     while stack:
         rows, start, bounds = stack.pop()
         for level in range(start, len(plan)):
@@ -222,8 +222,7 @@ def cross_check(catalogs, n_max: int | None = None) -> CrossCheckReport:
             ok = False
             witness = f"count mismatch at n={n}"
             continue
-        listed = set(zip(map(bytes, cat.ranks.astype(np.uint8)),
-                         cat.auts.tolist()))
+        listed = set(zip(map(bytes, cat.ranks), cat.auts.tolist()))
         if listed != classes:
             ok = False
             form, aut = min(listed ^ classes)
@@ -259,7 +258,8 @@ def _brute_classes(n: int, k: int):
     (canonical form bytes, aut order) pairs, by canonical labeling (no
     canonical-deletion logic involved), one canonical_forms call per
     block of complete tables, and how many tables it saw (the labeled
-    total).  Ranks must fit in one byte; ValueError otherwise."""
+    total).  Ranks above 255, which only a k above core.MAX_K allows,
+    are refused by canonical_forms with ValueError."""
     from . import canon
 
     masks = sorted(range(1, 1 << n), key=int.bit_count)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polycat import RankTable, gen, read_catalog, write_catalog
+from polycat.core import MAX_K
 from polycat.gen import Catalog, CatalogEntry
 
 HEADER_RE = re.compile(r"^POLYCAT v1 n=(\d+) k=(\d+) count=(\d+)$")
@@ -58,11 +59,12 @@ def reference_read(path):
 
 @st.composite
 def catalogs(draw):
-    """Catalogs of random tables, n <= 3 and k up to 200, so that ranks
-    reach 600; the tables need not be polymatroids, since the file
-    format does not check them, but each aut order divides n!."""
+    """Catalogs of random tables, n <= 3 and k up to MAX_K = 31, so that
+    ranks reach 93; the tables need not be polymatroids, since the file
+    format does not check them, but each rank lies in [0, k * n] and
+    each aut order divides n!."""
     n = draw(st.integers(0, 3))
-    k = draw(st.sampled_from([1, 2, 200]))
+    k = draw(st.sampled_from([1, 2, MAX_K]))
     rho = st.tuples(*[st.integers(0, k * n)] * (1 << n))
     pairs = draw(st.lists(st.tuples(rho, st.sampled_from(aut_orders(n))),
                           max_size=12))
@@ -81,21 +83,21 @@ def test_write_read_round_trip(catalog):
 
 
 def test_round_trip_across_blocks_and_chunks(tmp_path):
-    # 1,500 entries: three formatter blocks of 512 entries, and a file
+    # 2,500 entries: five formatter blocks of 512 entries, and a file
     # several times the parser's read chunk
     rng = random.Random(7)
     entries = tuple(
-        CatalogEntry(RankTable(3, 200, tuple(rng.randrange(601)
-                                             for _ in range(8))),
+        CatalogEntry(RankTable(3, MAX_K, tuple(rng.randrange(3 * MAX_K + 1)
+                                               for _ in range(8))),
                      rng.choice(aut_orders(3)))
-        for _ in range(1500))
-    catalog = Catalog(3, 200, entries)
+        for _ in range(2500))
+    catalog = Catalog(3, MAX_K, entries)
     path = tmp_path / "cat.txt"
     write_catalog(catalog, path)
     assert path.read_bytes() == reference_text(catalog).encode()
     assert path.stat().st_size > 3 * gen._READ_BYTES
     assert read_catalog(path) == catalog
-    assert read_catalog(path).ranks.dtype == np.int64
+    assert read_catalog(path).ranks.dtype == np.uint8
 
 
 @st.composite
@@ -140,6 +142,7 @@ CASES = {
     "non-digit aut": (1, "0 1 aut=1x\n"),
     "empty aut": (1, "0 1 aut=\n"),
     "negative token": (1, "0 -1 aut=1\n"),
+    "rank above k*n": (2, "0 2 aut=1\n0 3 aut=1\n"),
     "negative aut": (1, "0 1 aut=-2\n"),
     "zero aut": (1, "0 1 aut=0\n"),
     "zero aut in leading zeros": (2, "0 1 aut=1\n0 2 aut=000\n"),
@@ -158,11 +161,11 @@ CASES = {
     "bad line after good ones": (3, "0 1 aut=1\n0 2 aut=1\n0 2 aut\n"),
     "no entries": (0, "\n\n"),
 }
-# The reference's int() reads a sign and takes any aut order; ranks are
-# never negative and an aut order divides n!, so read_catalog refuses
-# both.
-DIFFERENT = {"negative token", "negative aut", "zero aut",
-             "zero aut in leading zeros", "aut not dividing n!"}
+# The reference's int() reads a sign and takes any aut order; an aut
+# order divides n!, so read_catalog refuses the rest.  A rank outside
+# [0, k * n], negative or not, is refused by Catalog in both.
+DIFFERENT = {"negative aut", "zero aut", "zero aut in leading zeros",
+             "aut not dividing n!"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -184,9 +187,10 @@ def test_malformed_input_as_the_reference(name, tmp_path):
         assert read_catalog(path) == expect
 
 
-@pytest.mark.parametrize("head", ["n=9 k=2 count=0", "n=1 k=0 count=1"])
+@pytest.mark.parametrize("head", ["n=9 k=2 count=0", "n=1 k=0 count=1",
+                                  "n=1 k=32 count=1"])
 def test_header_out_of_range(head, tmp_path):
-    # a rank table has at most MAX_N = 8 elements and a positive k
+    # a rank table has at most MAX_N = 8 elements and k in [1, MAX_K]
     path = tmp_path / "cat.txt"
     path.write_text(f"POLYCAT v1 {head}\n0 0 aut=1\n")
     with pytest.raises(ValueError, match="bad catalog header"):
@@ -197,4 +201,13 @@ def test_malformed_entry_is_named(tmp_path):
     path = tmp_path / "cat.txt"
     path.write_text(HEAD.format(3) + "0 1 aut=1\n0 2 aut=1\n0 x aut=3\n")
     with pytest.raises(ValueError, match=r"malformed entry b'0 x aut=3'"):
+        read_catalog(path)
+
+
+def test_rank_above_k_times_n_is_named(tmp_path):
+    # at n = 1 and k = 2 a rank of 2 is the largest, so the parse
+    # refuses 3 and names its line
+    path = tmp_path / "cat.txt"
+    path.write_text(HEAD.format(2) + "0 2 aut=1\n0 3 aut=1\n")
+    with pytest.raises(ValueError, match=r"malformed entry b'0 3 aut=1'"):
         read_catalog(path)

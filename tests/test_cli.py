@@ -1,3 +1,4 @@
+import doctest
 import os
 import shlex
 
@@ -203,7 +204,7 @@ class TestVerify:
         assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("entry, error", [("0 5 aut=1", "rank 5 above"),
+@pytest.mark.parametrize("entry, error", [("0 5 aut=1", "'0 5 aut=1'"),
                                           ("0 1 aut=0", "'0 1 aut=0'"),
                                           ("0 1 aut=7", "'0 1 aut=7'")])
 @pytest.mark.parametrize("command", [["count"], ["count", "--labeled"],
@@ -242,6 +243,12 @@ class TestInfo:
         f.write_text("garbage\n")
         assert main(["info", "--file", str(f)]) == 2
 
+    def test_k_above_max_k(self, tmp_path, capsys):
+        f = tmp_path / "wide.txt"
+        f.write_text("n=1 k=32\n0 32\n")
+        assert main(["info", "--file", str(f)]) == 2
+        assert "element-rank cap 32 outside [1, 31]" in capsys.readouterr().err
+
 
 def test_readme_commands_parse():
     # every command in the README's "Command line" block, so that a
@@ -260,3 +267,16 @@ def test_readme_commands_parse():
             parser.parse_args(command[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_library_example_runs():
+    # the README's "Library" block, run as a doctest, so that an API
+    # change cannot leave it stale
+    with open(README) as fh:
+        text = fh.read().split("## Library", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", README, 0)
+    assert len(test.examples) >= 5
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert runner.summarize(verbose=False) == (0, len(test.examples))

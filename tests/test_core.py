@@ -16,7 +16,7 @@ from polycat import (
     parse_polymatroid,
     validate,
 )
-from polycat.core import k_duals
+from polycat.core import MAX_K, MAX_N, k_duals
 from polycat.oracle import brute_labeled_count
 
 
@@ -70,6 +70,14 @@ class TestValidate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             RankTable(2, 2, (0, 1, 2))
+
+    @pytest.mark.parametrize("k", [0, MAX_K + 1])
+    def test_k_out_of_range(self, k):
+        # every rank, at most k * n, fits in one byte
+        assert MAX_K * MAX_N <= 255 < (MAX_K + 1) * MAX_N
+        RankTable(MAX_N, MAX_K, (0,) * (1 << MAX_N))
+        with pytest.raises(ValueError, match="element-rank cap"):
+            RankTable(1, k, (0, 0))
 
     @staticmethod
     def _global_ok(rho, n, k=2):
@@ -256,17 +264,21 @@ class TestKDual:
                 duals = k_duals(np.array([t.rho for t in block], dtype=dtype),
                                 k)
                 assert duals.shape == (len(block), 1 << n)
+                assert duals.dtype == np.int16
                 rows = [tuple(d) for d in duals.tolist()]
                 assert rows == [k_dual(t).rho for t in block]
                 assert rows == [_dual_by_formula(t) for t in block]
 
-    def test_block_duals_of_large_k(self):
-        # k * n too large for int16 rows: computed in int64
-        table = RankTable(3, 9000, (0,) * 8)
-        duals = k_duals(np.zeros((1, 8), dtype=np.uint8), 9000)
-        assert duals.dtype == np.int64
-        assert tuple(duals[0].tolist()) == _dual_by_formula(table)
-        assert k_dual(table).rho == _dual_by_formula(table)
+    def test_block_duals_at_the_largest_k(self):
+        # the zero and the free MAX_K-polymatroid on MAX_N elements,
+        # whose ranks and duals reach k * n = 248
+        size = 1 << MAX_N
+        block = [RankTable(MAX_N, MAX_K, (0,) * size),
+                 RankTable(MAX_N, MAX_K,
+                           tuple(MAX_K * m.bit_count() for m in range(size)))]
+        duals = k_duals(np.array([t.rho for t in block], np.uint8), MAX_K)
+        assert [tuple(d) for d in duals.tolist()] == [
+            _dual_by_formula(t) for t in block] == [block[1].rho, block[0].rho]
 
 
 class TestMinors:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polycat import RankTable, flats, validate
-from polycat.core import modular_defect
+from polycat.core import MAX_K, modular_defect
 from polycat.extensions import (
     _check_general,
     _check_seven,
@@ -179,10 +179,12 @@ class TestEnumerate:
         assert reached
 
     def test_large_k_matches_filter(self):
-        # bounds this wide do not fit in int8
-        for table in (RankTable(1, 100, (0, 100)),
-                      RankTable(1, 100, (0, 70))):
+        # k(n+2) = 155: bounds this wide do not fit in int8; each table
+        # has two flats, the empty set and the ground set
+        for rank in (MAX_K, 20):
+            table = RankTable(3, MAX_K, (0,) + (rank,) * 7)
             lat = flats(table)
+            assert len(lat) == 2
             fast = enumerate_extensible_partitions(table, lat)
             slow = _partitions_by_filter(table, lat)
             assert fast.dtype == slow.dtype == np.int64
@@ -282,12 +284,6 @@ class TestExtend:
             for mu, table in zip(rows, tables):
                 assert np.array_equal(build(mu), table)
                 assert tuple(table.tolist()) == extend(e.table, mu, lat).rho
-
-    def test_builder_widens_past_one_byte(self):
-        line = RankTable(1, 200, (0, 150))
-        ext = extension_builder(line, flats(line))((200, 150))
-        assert ext.dtype == np.int64
-        assert ext.tolist() == [0, 150, 200, 300]
 
 
 class TestExtensionFlats:

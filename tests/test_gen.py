@@ -23,7 +23,7 @@ from polycat import (
     write_catalog,
 )
 from polycat.canon import apply_mask_perm, canonical_bytes, canonical_form
-from polycat.core import MAX_N, flats, min_element_rank
+from polycat.core import MAX_K, MAX_N, flats, min_element_rank
 from polycat.extensions import (
     enumerate_extensible_partitions,
     extension_builder,
@@ -339,12 +339,15 @@ class TestGeneration:
             enumerate_all(MAX_N + 1, 2)
         with pytest.raises(ValueError):
             RankTable(MAX_N + 1, 2, (0,) * (1 << (MAX_N + 1)))
-        with pytest.raises(ValueError):  # ranks above 255 in the extension
-            extensions_of_parent(RankTable(1, 200, (0, 200)))
-        wide = gen.Catalog(1, 200, (gen.CatalogEntry(
-            RankTable(1, 200, (0, 300)), 1),))
-        with pytest.raises(ValueError, match="catalog ranks must fit"):
-            generate_next(wide)
+
+    def test_refuses_extending_an_eight_element_parent(self):
+        # the extension would have MAX_N + 1 elements and 512 ranks
+        zero = RankTable(MAX_N, 1, (0,) * (1 << MAX_N))
+        with pytest.raises(ValueError, match=f"beyond {MAX_N} elements"):
+            extensions_of_parent(zero)
+        with pytest.raises(ValueError, match=f"beyond {MAX_N} elements"):
+            generate_next(gen.Catalog(MAX_N, 1, (gen.CatalogEntry(zero,
+                                                                  40320),)))
 
 
 class TestCountsAndChecks:
@@ -444,14 +447,6 @@ class TestCountsAndChecks:
         assert kinds == {None, "dual-not-in-catalog",
                          "rank-histogram-asymmetry"}
 
-    @pytest.mark.parametrize("rho", [(0, 10), (0, 300)])
-    def test_duality_check_rejects_ranks_beyond_a_byte(self, rho):
-        # the dual of (0, 10) with k = 300 has rank 290
-        cat = gen.Catalog(1, 300, (gen.CatalogEntry(RankTable(1, 300, rho),
-                                                    1),))
-        with pytest.raises(ValueError):
-            duality_check(cat)
-
 
 class TestCatalogArrays:
     def test_paths_make_no_entry_objects(self, cats5, tmp_path,
@@ -481,6 +476,17 @@ class TestCatalogArrays:
             for c in cats5[:5]]
         assert all(type(v) is int for rank_counts, labeled, _f, _d in counts
                    for v in rank_counts + labeled)
+
+    @pytest.mark.parametrize("rho", [(0, -1), (0, 3), (0, 256)])
+    def test_ranks_outside_zero_to_kn_refused(self, rho):
+        # at k = 2 and n = 1 every rank lies in [0, 2]
+        with pytest.raises(ValueError, match=r"ranks must lie in \[0, 2\]"):
+            gen.Catalog(1, 2, (gen.CatalogEntry(RankTable(1, 2, rho), 1),))
+
+    @pytest.mark.parametrize("k", [0, MAX_K + 1])
+    def test_k_outside_one_to_max_k_refused(self, k):
+        with pytest.raises(ValueError, match="element-rank cap"):
+            gen.Catalog(1, k, ())
 
     @pytest.mark.parametrize("n", range(4))
     def test_empty_catalog(self, n, tmp_path):
