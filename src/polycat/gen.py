@@ -81,18 +81,25 @@ class Catalog:
     """Canonical representatives for fixed (n, k), sorted by rank table:
     ranks is an (m, 2^n) uint8 matrix and auts the (m,) int64 aut
     orders.  Catalog(n, k, entries) packs a sequence of CatalogEntry,
-    whose ranks must lie in [0, k * n] for a k in [1, MAX_K], or
-    ValueError; entries is made on first read."""
+    checked as read_catalog checks a file: for a k in [1, MAX_K], each
+    table must have n elements and cap k, ranks in [0, k * n] and an aut
+    order dividing n!, or ValueError.  entries is made on first read."""
 
     def __init__(self, n, k, entries):
         if not 1 <= k <= MAX_K:
             raise ValueError(f"element-rank cap {k} outside [1, {MAX_K}]")
+        if any((e.table.n, e.table.k) != (n, k) for e in entries):
+            raise ValueError(f"catalog tables must have n={n} and k={k}")
         rows = np.array([e.table.rho for e in entries], dtype=np.int64)
         if rows.size and not 0 <= rows.min() <= rows.max() <= k * n:
             raise ValueError(f"catalog ranks must lie in [0, {k * n}]")
+        auts = np.array([e.aut_order for e in entries], dtype=np.int64)
+        # gcd(0, n!) = n!, so an order of 0 is refused too
+        if (np.gcd(auts, math.factorial(n)) != auts).any():
+            raise ValueError(f"catalog aut orders must divide {n}!")
         self.n, self.k = n, k
         self.ranks = rows.reshape(-1, 1 << n).astype(np.uint8)
-        self.auts = np.array([e.aut_order for e in entries], dtype=np.int64)
+        self.auts = auts
 
     @classmethod
     def _of(cls, n, k, ranks, auts):

@@ -12,6 +12,7 @@ from polycat.canon import (
     _SLICE_ROWS,
     anchored_forms,
     apply_mask_perm,
+    canonical_bytes,
     canonical_form,
     canonical_forms,
     flat_graph,
@@ -23,6 +24,7 @@ from polycat.extensions import (
     enumerate_extensible_partitions,
     extension_builder,
 )
+from polycat.gen import extensions_of_parent
 
 
 @functools.lru_cache(maxsize=None)
@@ -32,6 +34,18 @@ def _all_relabelings(n):
     apply_mask_perm alone, not with canon's gather tables)."""
     return np.array([[apply_mask_perm(m, q) for m in range(1 << n)]
                      for q in itertools.permutations(range(n))])
+
+
+@functools.lru_cache(maxsize=None)
+def _all_relabelings_fast(n):
+    """Row q maps each mask through permutation q, as _all_relabelings,
+    built one bit at a time in numpy for n = 8."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    out = np.zeros((len(perms), 1 << n), dtype=np.intp)
+    for m in range(1, 1 << n):
+        low = (m & -m).bit_length() - 1
+        out[:, m] = out[:, m & (m - 1)] | 1 << perms[:, low]
+    return out
 
 
 def _brute_minimum(table):
@@ -111,9 +125,9 @@ class TestCanonicalForm:
             words = _candidate_count(t) > _SLICE_ROWS
             paths[t.n < 3, words, aut > 1] += 1
             paths["late"] += words and late
-        # byte strings below n=3 and at n>=3; word narrowing with ties
-        # to the end, with an early exit at one row, and decided only
-        # by the last word
+        # byte strings below n=3 and at n>=3; the search (above
+        # _SLICE_ROWS candidates) with automorphisms and without, and
+        # with a tie decided only by the last word
         assert paths[True, False, True] and paths[True, False, False]
         assert paths[False, False, True] and paths[False, False, False]
         assert paths[False, True, True] >= 10
@@ -168,16 +182,34 @@ class TestCanonicalForms:
                 self._check_block([t])
 
     def test_runs_of_any_size(self, cats5, n6_tables, monkeypatch):
-        # one row per run, and runs of a few rows: the same forms
+        # the module's budget, one in the middle, where calls split off a
+        # level carry pairs, and one so small that every level of a
+        # block with two rows or more is split between its rows: the
+        # same forms
         blocks = self._mixed_blocks(cats5, n6_tables)[3:]
         whole = [canonical_forms(np.array([t.rho for t in b]), b[0].n)
                  for b in blocks]
-        for budget in (1, 2048):
-            monkeypatch.setattr(canon, "_LABEL_ENTRIES", budget)
+        search, levels, split_with_pairs = canon._search, [], []
+
+        def spy(flat, size, target, shared, rows, row, img):
+            if levels and levels[-1] == img.shape[1]:
+                split_with_pairs.append(len(row) > 0)
+            levels.append(img.shape[1])
+            try:
+                return search(flat, size, target, shared, rows, row, img)
+            finally:
+                levels.pop()
+
+        monkeypatch.setattr(canon, "_search", spy)
+        for budget in (canon._SEARCH_ENTRIES, 64, 1):
+            monkeypatch.setattr(canon, "_SEARCH_ENTRIES", budget)
+            split_with_pairs.clear()
             for b, ref in zip(blocks, whole):
                 got = canonical_forms(np.array([t.rho for t in b]), b[0].n)
                 for x, y in zip(got, ref):
                     assert np.array_equal(x, y)
+            if budget == 64:
+                assert any(split_with_pairs)
 
     def test_matches_canonical_form(self, n6_tables):
         forms, sigma, aut = canonical_forms(
@@ -214,6 +246,63 @@ class TestCanonicalForms:
     def test_bad_shapes_rejected(self, rows, n):
         with pytest.raises(ValueError):
             canonical_forms(rows, n)
+
+
+class TestCanonicalFormsAboveSix:
+    def test_n7_extension_blocks_match_canonical_bytes(self, cats5):
+        # extension tables of a few X_6 parents (the first child of
+        # every 150th X_5 entry), each under a random relabeling: parents
+        # with six singleton ranks equal give rows of 720 and 5,040
+        # candidates, the rest fewer
+        rng = random.Random(7)
+        tables = []
+        for e in cats5[5].entries[::150]:
+            records, _parts = extensions_of_parent(e.table)
+            parent = RankTable(6, 2, tuple(records[0, :64].tolist()))
+            lattice = flats(parent)
+            parts = enumerate_extensible_partitions(parent, lattice)
+            build = extension_builder(parent, lattice)
+            for i in rng.sample(range(len(parts)), min(20, len(parts))):
+                perm = list(range(7))
+                rng.shuffle(perm)
+                tables.append(relabel(
+                    RankTable(7, 2, tuple(build(parts[i]).tolist())), perm))
+        forms, sigma, aut = canonical_forms(
+            np.array([t.rho for t in tables]), 7)
+        paths = Counter()
+        for t, form, s, a in zip(tables, forms, sigma.tolist(), aut):
+            assert canonical_bytes(bytes(t.rho), 7) == \
+                (form.tobytes(), tuple(s), a)
+            assert relabel(t, s).rho == tuple(form.tolist())
+            paths[_candidate_count(t) > _SLICE_ROWS, a > 1] += 1
+        assert len(paths) == 4 and min(paths.values()) >= 3
+
+    def test_n8_zero_and_free_tables(self):
+        # every relabeling fixes them: the largest row, 8! pairs at the
+        # last level, which the budget cannot split
+        for rho in ([0] * 256, [2 * m.bit_count() for m in range(256)]):
+            forms, sigma, aut = canonical_forms(np.array([rho]), 8)
+            assert forms.tolist() == [rho] and aut.tolist() == [40320]
+            assert sigma.tolist() == [list(range(8))]
+            assert canonical_bytes(bytes(rho), 8) == \
+                (bytes(rho), tuple(range(8)), 40320)
+
+    def test_n8_random_tables_match_every_relabeling(self):
+        # random byte tables, a third with all eight singleton ranks
+        # equal (8! candidates): the form is the least of all 8!
+        # relabeled tables, and aut counts the relabelings reaching it
+        rng = np.random.default_rng(8)
+        tables = rng.integers(0, 3, (12, 256)).astype(np.uint8)
+        tables[:4, [1 << j for j in range(8)]] = 1
+        forms, sigma, aut = canonical_forms(tables, 8)
+        gather = _all_relabelings_fast(8)
+        for t, form, s, a in zip(tables, forms, sigma.tolist(), aut):
+            buf = t[gather].tobytes()
+            images = [buf[i:i + 256] for i in range(0, len(buf), 256)]
+            best = min(images)
+            assert (form.tobytes(), a) == (best, images.count(best))
+            table = RankTable(8, 2, tuple(t.tolist()))
+            assert relabel(table, s).rho == tuple(form.tolist())
 
 
 class TestIsomorphic:
@@ -277,6 +366,11 @@ class TestLabeledCount:
     def test_non_divisor_rejected(self):
         with pytest.raises(ValueError):
             labeled_count(3, 4)
+
+    @pytest.mark.parametrize("aut", [0, -2])
+    def test_orders_below_one_rejected(self, aut):
+        with pytest.raises(ValueError, match="does not divide"):
+            labeled_count(3, aut)
 
     def test_catalog_totals(self, cats5):
         totals = [

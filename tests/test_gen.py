@@ -233,18 +233,18 @@ class TestGeneration:
         # level hold both pairs of their own and the shared prefixes, and
         # one so small that every level of a block with two rows or more
         # is split between its rows
-        search, levels, split_with_pairs = canon._anchored_search, [], []
+        search, levels, split_with_pairs = canon._search, [], []
 
-        def spy(flat, parent, shared, rows, row, img):
+        def spy(flat, size, target, shared, rows, row, img):
             if levels and levels[-1] == img.shape[1]:
                 split_with_pairs.append(len(row) > 0)
             levels.append(img.shape[1])
             try:
-                return search(flat, parent, shared, rows, row, img)
+                return search(flat, size, target, shared, rows, row, img)
             finally:
                 levels.pop()
 
-        monkeypatch.setattr(canon, "_anchored_search", spy)
+        monkeypatch.setattr(canon, "_search", spy)
         for budget in (canon._SEARCH_ENTRIES, 64, 1):
             monkeypatch.setattr(canon, "_SEARCH_ENTRIES", budget)
             split_with_pairs.clear()
@@ -482,6 +482,27 @@ class TestCatalogArrays:
         # at k = 2 and n = 1 every rank lies in [0, 2]
         with pytest.raises(ValueError, match=r"ranks must lie in \[0, 2\]"):
             gen.Catalog(1, 2, (gen.CatalogEntry(RankTable(1, 2, rho), 1),))
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (2, 2)])
+    def test_tables_of_another_n_or_k_refused(self, n, k):
+        # two n=2 tables hold 8 ranks, one n=3 row's worth, and a k=1
+        # table's ranks fit a k=2 catalog, so only these checks see them
+        entries = (gen.CatalogEntry(RankTable(2, 2, (0, 2, 2, 3)), 2),
+                   gen.CatalogEntry(RankTable(2, 1, (0, 1, 1, 1)), 2))
+        with pytest.raises(ValueError, match=f"must have n={n} and k={k}"):
+            gen.Catalog(n, k, entries if n == 3 else entries[1:])
+
+    @pytest.mark.parametrize("aut", [0, 5])
+    def test_aut_orders_not_dividing_n_factorial_refused(self, aut,
+                                                         tmp_path):
+        # the orders read_catalog refuses in a file
+        entry = gen.CatalogEntry(RankTable(2, 2, (0, 2, 2, 3)), aut)
+        with pytest.raises(ValueError, match="aut orders must divide 2!"):
+            gen.Catalog(2, 2, (entry,))
+        path = tmp_path / "bad.txt"
+        path.write_text(f"POLYCAT v1 n=2 k=2 count=1\n0 2 2 3 aut={aut}\n")
+        with pytest.raises(ValueError, match="malformed entry"):
+            read_catalog(path)
 
     @pytest.mark.parametrize("k", [0, MAX_K + 1])
     def test_k_outside_one_to_max_k_refused(self, k):

@@ -1,6 +1,6 @@
 """perfbench's tracer patches polycat names by attribute, and its
 workloads check their outputs against pinned counts; these tests keep
-those names, the results the tracer unpacks and the workloads' output
+those names, the results the tracer unpacks and every workload's output
 checks in place, since perfbench's own tests are run separately."""
 
 from pathlib import Path
@@ -64,10 +64,12 @@ def workloads(monkeypatch):
     return workloads
 
 
-@pytest.mark.parametrize("name", ["step6_stride", "step7_stream"])
+@pytest.mark.parametrize("name", ["step6_stride", "step7_stream",
+                                  "count6_full", "verify5"])
 def test_benchmark_output_checks_hold(workloads, name, tmp_path):
     # one frozen group, one pass: the per-group pins (partitions,
-    # accepted) and the canonical-deletion checks the benchmark asserts
+    # accepted, labeled), the canonical-deletion checks and the oracle's
+    # verification checks the benchmark asserts
     wl = workloads.WORKLOADS[name](frozen=workloads.load_frozen())
     inp = wl.setup(0)
     outs = [unit() for unit in wl.units(inp, 1, tmp_path)]
