@@ -34,7 +34,8 @@ def cmd_enumerate(args):
         print(
             f"n={n + 1} count={stats.accepted} "
             f"partitions={stats.partitions} rejected={stats.rejected} "
-            f"canonical={stats.canonical} time={stats.wall_time:.2f}s",
+            f"canonical={stats.canonical} witnessed={stats.witnessed} "
+            f"time={stats.wall_time:.2f}s",
             file=sys.stderr,
         )
     return 0

@@ -7,12 +7,19 @@ labeling reproduces the parent exactly, that is, iff its canonical form
 starts with the parent's table.  Partitions in one orbit of the parent's
 automorphism group give isomorphic extensions, so only the lex-min
 partition of each orbit is built and decided.  A parent's partitions are
-the rows of one numpy array (extensions.enumerate_extensible_partitions);
-the prefilter and the fold select rows, extensions.extension_builder
-turns each block of rows into extension tables at once, and
-canon.anchored_forms decides the whole block in one search, labeling
-only the accepted rows.  Extensions of distinct parents are never
-compared, so the outer loop parallelizes with no shared state.
+the rows of one numpy array (extensions.enumerate_extensible_partitions),
+and a block of them passes, in order, the singleton-rank prefilter, the
+fold to orbit representatives, the swap witness, the build of extension
+tables (extensions.extension_builder) and the search
+(canon.anchored_forms), which decides the whole block at once, labeling
+only the accepted rows.  The swap witness rejects a row without a
+search: giving the new element e the label of an old element x relabels
+the table into one whose first half reads the parent on the masks
+without x and rho(m - x) + mu(cl(m - x)) on a mask m that holds x; if
+that half reads below the parent, so does the first half of the
+canonical form, which is lex-min, and the row is rejected.  Extensions
+of distinct parents are never compared, so the outer loop parallelizes
+with no shared state.
 
 Every rank is one byte, since core caps k at MAX_K and Catalog and
 read_catalog refuse ranks outside [0, k * n].
@@ -69,6 +76,8 @@ _READ_BYTES = 1 << 14
 # (records, partitions) 2-tuple, which perfbench's tracer unpacks,
 # reading len(records) as the accepted count.
 _canonical_calls = 0
+# Of those, the ones the swap witness rejects, counted the same way.
+_witnessed = 0
 
 
 @dataclass(frozen=True)
@@ -147,6 +156,7 @@ class GenerationStats:
     rejected: int = 0
     wall_time: float = 0.0
     canonical: int = 0  # orbit representatives decided, one per orbit
+    witnessed: int = 0  # of those, rejected by the swap witness
 
     def merge(self, other):
         for name in vars(self):
@@ -204,6 +214,46 @@ def orbit_representatives(rows, acts):
     return rows
 
 
+@functools.lru_cache(maxsize=None)
+def _swap_masks(n: int):
+    """Row x lists the masks m of an n-element ground set that hold
+    element x, in increasing order, and the masks m - x: two (n,
+    2^(n-1)) intp matrices; n = 0 gives two (0, 1) matrices, since
+    swap_witness reads a row as a byte string, which needs a width of
+    at least one."""
+    low = np.arange(max(1 << n >> 1, 1))
+    x = np.arange(n)[:, None]
+    rest = low >> x << x + 1 | low & (1 << x) - 1
+    return rest | 1 << x, rest
+
+
+def swap_witness(parent: RankTable, lattice):
+    """A function drops(rows) for repeated use on one parent: for a 2-D
+    block of mu-vectors, a bool per row, True where some old element x
+    shows the row non-canonical.  Giving the new element the label of
+    x, the first half of the relabeled table differs from the parent
+    only at the masks m that hold x, where it reads
+    rho(m - x) + mu(cl(m - x)) for rho(m); the row is dropped when that
+    sequence, over those masks in increasing order, is below the
+    parent's.  Each sequence is compared as one byte string: numpy
+    orders byte strings by unsigned bytes, and the trailing zero bytes
+    it ignores leave that order as it is."""
+    held, rest = _swap_masks(parent.n)
+    rho = np.array(parent.rho, np.uint8)
+    columns = lattice.closure[rest].ravel()
+    base = rho[rest].ravel()
+    width = f"S{held.shape[1]}"
+    bound = rho[held].view(width).ravel()
+
+    def drops(rows):
+        # every entry is a rank of the extension, so it fits in a byte
+        half = np.add(rows.take(columns, axis=1), base, dtype=np.uint8,
+                      casting="unsafe")
+        return (half.view(width) < bound).any(axis=1)
+
+    return drops
+
+
 def extensions_of_parent(parent: RankTable):
     """The accepted canonical extensions of one parent as records, a
     (classes, 2^(n+1) + 4) uint8 matrix sorted by rows, and the number
@@ -216,8 +266,14 @@ def extensions_of_parent(parent: RankTable):
     fixing it, relabels ext(mu o g) into ext(mu), since
     rho(gX) + mu(cl gX) = rho(X) + (mu o g)(cl X); so a whole orbit
     shares one canonical form and one accept or reject decision.  A
-    parent of MAX_N elements has no extension table, so ValueError."""
-    global _canonical_calls
+    block of rows passes, in order, the singleton-rank prefilter, the
+    fold to one row per orbit, the swap witness, the build of its
+    extension tables and the search.  The witness rejects a row when
+    swapping the new element with one old element already makes the
+    first half read below the parent, so that the canonical form's
+    first half does too (swap_witness); the search decides the rest.
+    A parent of MAX_N elements has no extension table, so ValueError."""
+    global _canonical_calls, _witnessed
     n = parent.n
     if n >= MAX_N:
         raise ValueError(f"no extension beyond {MAX_N} elements")
@@ -226,6 +282,7 @@ def extensions_of_parent(parent: RankTable):
     parent_bytes = bytes(parent.rho)
     acts = flat_automorphisms(parent, lattice)
     build = extension_builder(parent, lattice)
+    drops = swap_witness(parent, lattice)
     # the canonical labeling sorts the singleton ranks, so its last
     # element has the largest rank; if the new element ranks below a
     # parent element, deleting that last element leaves other singleton
@@ -238,6 +295,9 @@ def extensions_of_parent(parent: RankTable):
         block = rows[i:i + _BLOCK]
         block = orbit_representatives(block[block[:, 0] >= top], acts)
         _canonical_calls += len(block)
+        kept = block[~drops(block)]
+        _witnessed += len(block) - len(kept)
+        block = kept
         # element n+1 is the top bit, so deleting it from the canonical
         # labeling leaves the first half of the table; that half is
         # already lex-min among the relabelings of the deletion, because
@@ -258,7 +318,7 @@ def _worker(args):
     k, ranks = args
     records = []
     stats = GenerationStats()
-    calls = _canonical_calls
+    calls, witnessed = _canonical_calls, _witnessed
     for rho in ranks.tolist():
         n = len(rho).bit_length() - 1
         acc, nparts = extensions_of_parent(RankTable(n, k, tuple(rho)))
@@ -268,6 +328,7 @@ def _worker(args):
         stats.accepted += len(acc)
         stats.rejected += nparts - len(acc)
     stats.canonical = _canonical_calls - calls
+    stats.witnessed = _witnessed - witnessed
     return np.concatenate(records), stats
 
 

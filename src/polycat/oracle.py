@@ -256,19 +256,29 @@ def _sorted_rows(rows):
 def _brute_classes(n: int, k: int):
     """The isomorphism classes of the brute enumeration, as a set of
     (canonical form bytes, aut order) pairs, by canonical labeling (no
-    canonical-deletion logic involved), one canonical_forms call per
-    block of complete tables, and how many tables it saw (the labeled
-    total).  Ranks above 255, which only a k above core.MAX_K allows,
-    are refused by canonical_forms with ValueError."""
+    canonical-deletion logic involved), and how many tables it saw (the
+    labeled total).  The search's blocks of complete tables are held
+    until they reach _SEARCH_ENTRIES entries and labeled in one
+    canonical_forms call, the rest at the end, since its last levels
+    leave many small blocks.  Ranks above 255, which only a k above
+    core.MAX_K allows, are refused by canonical_forms with ValueError."""
     from . import canon
 
     masks = sorted(range(1, 1 << n), key=int.bit_count)
-    seen, sizes = set(), []
+    seen, held, sizes = set(), [], []
+
+    def label():
+        forms, _sigma, aut = canon.canonical_forms(np.concatenate(held), n)
+        seen.update(zip(map(bytes, forms), aut.tolist()))
+        held.clear()
 
     def leaf(rows):
         sizes.append(len(rows))
-        forms, _sigma, aut = canon.canonical_forms(rows, n)
-        seen.update(zip(map(bytes, forms), aut.tolist()))
+        held.append(rows)
+        if sum(map(len, held)) << n >= _SEARCH_ENTRIES:
+            label()
 
     _search([0] * (1 << n), masks, n, k, leaf)
+    if held:
+        label()
     return seen, sum(sizes)

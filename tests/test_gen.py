@@ -33,6 +33,7 @@ from polycat.gen import (
     flat_automorphisms,
     generate_next_stream,
     orbit_representatives,
+    swap_witness,
 )
 
 
@@ -96,6 +97,24 @@ def reference_parents(cats5):
     return parents + heavy
 
 
+@pytest.fixture(scope="module")
+def witnessed_rows(reference_parents):
+    """Per reference parent: the parent, its orbit-representative rows
+    (before the singleton-rank prefilter), their extension tables, the
+    swap witness's verdict on each and which rows pass the prefilter."""
+    out = []
+    for parent in reference_parents:
+        lattice = flats(parent)
+        rows = enumerate_extensible_partitions(parent, lattice)
+        rows = orbit_representatives(rows,
+                                     flat_automorphisms(parent, lattice))
+        top = max((parent.rho[1 << j] for j in range(parent.n)), default=0)
+        out.append((parent, rows, extension_builder(parent, lattice)(rows),
+                    swap_witness(parent, lattice)(rows),
+                    rows[:, 0] >= top))
+    return out
+
+
 class TestGeneration:
     def test_base_catalog(self):
         cat = base_catalog(2)
@@ -145,6 +164,37 @@ class TestGeneration:
         assert stats.accepted == len(nxt)
         assert stats.partitions == stats.accepted + stats.rejected
         assert stats.accepted <= stats.canonical <= stats.partitions
+
+    def test_stats_count_the_witnessed_rows(self, cats5):
+        nxt, stats = generate_next(cats5[4])
+        assert (len(nxt), stats.accepted, stats.canonical) == (2380, 2380,
+                                                               5928)
+        assert 0 < stats.witnessed
+        assert stats.accepted + stats.witnessed <= stats.canonical
+
+    def test_swap_witness_drops_only_rows_below_the_parent(
+            self, witnessed_rows):
+        # the swap lemma: a dropped row's canonical form starts below
+        # the parent, so canonical deletion would reject it too; and the
+        # witness drops rows the prefilter keeps at every n >= 2
+        dropping = set()
+        for parent, _rows, tables, dropped, prefiltered in witnessed_rows:
+            half, pb = 1 << parent.n, bytes(parent.rho)
+            for table in tables[dropped]:
+                cb, _sigma, _aut = canonical_bytes(table.tobytes(),
+                                                   parent.n + 1)
+                assert cb[:half] < pb
+            if (dropped & prefiltered).any():
+                dropping.add(parent.n)
+        assert dropping == {2, 3, 4, 5, 6}
+
+    def test_swap_witness_keeps_the_anchored_forms(self, witnessed_rows):
+        for parent, _rows, tables, dropped, _pre in witnessed_rows:
+            pb = bytes(parent.rho)
+            every, kept = (canon.anchored_forms(t, pb)
+                           for t in (tables, tables[~dropped]))
+            assert np.array_equal(every[0], kept[0])
+            assert np.array_equal(every[1], kept[1])
 
     def test_stats_merge_adds_every_field(self):
         a = gen.GenerationStats(1, 10, 3, 7, 0.5, 4)
