@@ -15,13 +15,16 @@ a target table that every row must start with.  The entry points:
   each, through a gather matrix cached per singleton-rank vector, and
   more by the search on its one row.  canonical_form, isomorphic and the
   catalog checks go through it.
+- parent_prefixes decides a parent in one pass over its candidate
+  relabelings: None if it is not canonical, else its shared label
+  prefixes, ending in Aut(parent).
 - anchored_forms decides a whole block of one-element extensions of one
   canonical parent, by the search with the parent as its target: it
   keeps the rows whose canonical form starts with the parent and labels
-  those only.  Prefixes of old elements read the parent alone and are
-  found once per block; only those holding the new element are carried
-  per row.  Rows of a parent that is not canonical are all rejected.
-  Generation goes through it.
+  those only.  Prefixes of old elements read the parent alone: they are
+  the shared prefixes, found once per parent, not once per block; only
+  those holding the new element are carried per row.  Generation goes
+  through both.
 
 Tables have at most core.MAX_N = 8 elements.
 """
@@ -158,8 +161,8 @@ def _candidates(n: int, singles: tuple):
     candidate, and the entry shares _perm_tables' arrays; any other
     entry holds c * (2^n + n) bytes of its own, at most (n-1)! * (2^n +
     n) (1.3 MB at n=8).  The cache keeps at most 128 entries.
-    Generation reaches it only through automorphisms, for canonical
-    parents, whose singleton ranks are sorted, so it needs few.
+    Generation reaches it only through parent_prefixes, once per
+    parent, so it needs few.
     """
     idx, sigmas = _perm_tables(n)
     if n < 2:
@@ -228,54 +231,16 @@ def canonical_forms(tables, n: int):
     return forms, sigma.astype(np.uint8), aut
 
 
-def automorphisms(rho_bytes: bytes, n: int):
-    """The automorphisms of a table with non-decreasing singleton ranks
-    (a canonical one has them), as a (aut, 2^n) uint8 matrix: row g
-    maps each mask X to g(X), and rho(g(X)) = rho(X) for every X.
-
-    An automorphism leaves the singleton ranks sorted, so it is one of
-    the candidate relabelings canonical_bytes compares."""
-    gather, _sigmas = _candidates(n, _singleton_ranks(n)(rho_bytes))
-    rho = np.frombuffer(rho_bytes, dtype=np.uint8)
-    return gather[(rho[gather] == rho).all(axis=1)]
-
-
-def anchored_forms(tables, parent_bytes: bytes):
-    """The canonical forms and automorphism group orders of the rows of
-    a block of one-element extension tables of a parent whose lex-min
-    form starts with the parent, as (forms, aut): a (m, 2^(n+1)) uint8
-    matrix and m orders, in row order.  tables is a 2-D uint8 array
-    whose rows all begin with parent_bytes, the parent's n-element
-    table.
-
-    The same forms and orders as canonical_bytes, kept where
-    cb[:2^n] == parent_bytes, found by one search with the parent as
-    its target.  Prefixes that label old elements only read the parent
-    alone, so they are found once (_shared_prefixes); only prefixes
-    holding the new element are carried per row.  If the parent is not
-    canonical, no row is."""
-    tables = np.ascontiguousarray(tables)
+def parent_prefixes(parent_bytes: bytes):
+    """[A_0, ..., A_n] for a parent's n-element table, or None if it is
+    not canonical.  A_j holds, as (a_j, 2^j) uint8 images, the distinct
+    ordered prefixes of j old elements that read the parent exactly on
+    the new masks below 2^j: A_0 is [[0]] and A_n is Aut(parent), row g
+    mapping each mask X to g(X).  The lex-min table is a candidate
+    relabeling (_candidates), so the parent is canonical iff none reads
+    below it; then each such prefix keeps the singleton ranks sorted, so
+    it begins a candidate, and candidates sharing it are adjacent."""
     parent = np.frombuffer(parent_bytes, dtype=np.uint8)
-    if (tables.dtype != np.uint8 or tables.ndim != 2
-            or tables.shape[1] != 2 * len(parent)
-            or not (tables[:, :len(parent)] == parent).all()):
-        raise ValueError("rows must be uint8 extension tables of the parent")
-    shared = _shared_prefixes(parent, parent_bytes)
-    rows = np.arange(len(tables) if shared else 0)
-    forms, _images, aut = _search(tables.ravel(), tables.shape[1], parent,
-                                  shared, rows, rows[:0],
-                                  np.empty((0, 1), dtype=np.uint8))
-    return forms, aut
-
-
-def _shared_prefixes(parent, parent_bytes):
-    """[A_0, ..., A_n] for a parent of n elements, or None if it is not
-    canonical.  A_j holds, as (a_j, 2^j) uint8 images, the ordered
-    prefixes of j old elements that read the parent exactly on the new
-    masks below 2^j: A_0 is [[0]] and A_n is Aut(parent).  Such a prefix
-    keeps the singleton ranks sorted, so it begins a candidate
-    relabeling (_candidates); candidates sharing it are adjacent, and
-    one reading below the parent shows that it is not canonical."""
     n = len(parent).bit_length() - 1
     gather, _sigmas = _candidates(n, _singleton_ranks(n)(parent_bytes))
     reads = parent[gather]
@@ -290,6 +255,33 @@ def _shared_prefixes(parent, parent_bytes):
         levels.append(pre[np.concatenate(
             ([True], (pre[1:] != pre[:-1]).any(axis=1)))])
     return levels
+
+
+def anchored_forms(tables, parent_bytes: bytes, shared):
+    """The canonical forms and automorphism group orders of the rows of
+    a block of one-element extension tables of a parent whose lex-min
+    form starts with the parent, as (forms, aut): a (m, 2^(n+1)) uint8
+    matrix and m orders, in row order.  tables is a 2-D uint8 array
+    whose rows all begin with parent_bytes, the parent's n-element
+    table, and shared is parent_prefixes(parent_bytes).
+
+    The same forms and orders as canonical_bytes, kept where
+    cb[:2^n] == parent_bytes, found by one search with the parent as
+    its target.  Prefixes that label old elements only read the parent
+    alone, so they are found once per parent; only prefixes holding the
+    new element are carried per row.  If the parent is not canonical
+    (shared is None), no row is kept."""
+    tables = np.ascontiguousarray(tables)
+    parent = np.frombuffer(parent_bytes, dtype=np.uint8)
+    if (tables.dtype != np.uint8 or tables.ndim != 2
+            or tables.shape[1] != 2 * len(parent)
+            or not (tables[:, :len(parent)] == parent).all()):
+        raise ValueError("rows must be uint8 extension tables of the parent")
+    rows = np.arange(len(tables) if shared else 0)
+    forms, _images, aut = _search(tables.ravel(), tables.shape[1], parent,
+                                  shared, rows, rows[:0],
+                                  np.empty((0, 1), dtype=np.uint8))
+    return forms, aut
 
 
 def _search(flat, size, target, shared, rows, row, img):
@@ -308,7 +300,7 @@ def _search(flat, size, target, shared, rows, row, img):
     prefix a of shared[j] that gives label j to the element of bit
     len(target), reading the row at a[m] + len(target): the prefixes of
     the target's elements alone read the target, not the row, and are
-    found once for the block.  A child reads the new masks [2^j,
+    found once per parent.  A child reads the new masks [2^j,
     2^(j+1)), as big-endian words of up to 8 entries.  Inside the
     target, a child below it rejects its row, one equal to it is a pair
     of level j + 1, and one above is dropped.  Past the target, the

@@ -6,20 +6,23 @@ an extension is accepted iff deleting the last element of its canonical
 labeling reproduces the parent exactly, that is, iff its canonical form
 starts with the parent's table.  Partitions in one orbit of the parent's
 automorphism group give isomorphic extensions, so only the lex-min
-partition of each orbit is built and decided.  A parent's partitions are
-the rows of one numpy array (extensions.enumerate_extensible_partitions),
-and a block of them passes, in order, the singleton-rank prefilter, the
-fold to orbit representatives, the swap witness, the build of extension
-tables (extensions.extension_builder) and the search
-(canon.anchored_forms), which decides the whole block at once, labeling
-only the accepted rows.  The swap witness rejects a row without a
-search: giving the new element e the label of an old element x relabels
-the table into one whose first half reads the parent on the masks
-without x and rho(m - x) + mu(cl(m - x)) on a mask m that holds x; if
-that half reads below the parent, so does the first half of the
-canonical form, which is lex-min, and the row is rejected.  Extensions
-of distinct parents are never compared, so the outer loop parallelizes
-with no shared state.
+partition of each orbit is built and decided.  Each parent is decided
+once first, by canon.parent_prefixes: one that is not canonical would
+silently lose classes, so it is refused; for the others its shared label
+prefixes, ending in Aut(parent), serve the fold and the search.  A
+parent's partitions are the rows of one numpy array
+(extensions.enumerate_extensible_partitions), and a block of them passes,
+in order, the singleton-rank prefilter, the fold to orbit
+representatives, the swap witness, the build of extension tables
+(extensions.extension_builder) and the search (canon.anchored_forms),
+which decides the whole block at once, labeling only the accepted rows.
+The swap witness rejects a row without a search: giving the new element e
+the label of an old element x relabels the table into one whose first
+half reads the parent on the masks without x and
+rho(m - x) + mu(cl(m - x)) on a mask m that holds x; if that half reads
+below the parent, so does the first half of the canonical form, which is
+lex-min, and the row is rejected.  Extensions of distinct parents are
+never compared, so the outer loop parallelizes with no shared state.
 
 Every rank is one byte, since core caps k at MAX_K and Catalog and
 read_catalog refuse ranks outside [0, k * n].
@@ -70,11 +73,11 @@ _ROWS = 512
 # Catalog bytes read_catalog parses at a time, in whole lines.
 _READ_BYTES = 1 << 14
 # Orbit representatives decided by extensions_of_parent in this process
-# (one per Aut(parent)-orbit passing the prefilter; no canonical_bytes
-# call is made for them).  _worker takes the difference around its own
-# parents; a counter is used because extensions_of_parent keeps its
-# (records, partitions) 2-tuple, which perfbench's tracer unpacks,
-# reading len(records) as the accepted count.
+# (one per Aut(parent)-orbit passing the prefilter).  _worker takes
+# the difference around its own parents; a counter is used because
+# extensions_of_parent keeps its (records, partitions) 2-tuple, which
+# perfbench's tracer unpacks, reading len(records) as the accepted
+# count.
 _canonical_calls = 0
 # Of those, the ones the swap witness rejects, counted the same way.
 _witnessed = 0
@@ -169,13 +172,13 @@ def base_catalog(k: int) -> Catalog:
                        np.ones(1, dtype=np.int64))
 
 
-def flat_automorphisms(parent: RankTable, lattice):
-    """Aut(parent) acting on the flats, as a (g, |flats|) index matrix:
-    row g holds, for each flat F, the index of the flat g(F), so that
-    mu[:, row] is the partition mu o g.  The identity and the
-    automorphisms that fix every flat are left out, and each action
-    appears once.  The parent must be canonical."""
-    auts = canon.automorphisms(bytes(parent.rho), parent.n)
+def flat_automorphisms(auts, lattice):
+    """Aut(parent) acting on the parent's flats, as a (g, |flats|) index
+    matrix: auts is Aut(parent) as mask maps, the last level of
+    canon.parent_prefixes, and row g holds, for each flat F, the index
+    of the flat g(F), so that mu[:, row] is the partition mu o g.  The
+    identity and the automorphisms that fix every flat are left out,
+    and each action appears once."""
     # a flat's index is below 2^n <= 256, so the actions are byte rows
     acts = lattice.closure[auts[:, lattice.flats]].astype(np.uint8)
     acts = _distinct_rows(acts).astype(np.intp)
@@ -258,8 +261,7 @@ def extensions_of_parent(parent: RankTable):
     """The accepted canonical extensions of one parent as records, a
     (classes, 2^(n+1) + 4) uint8 matrix sorted by rows, and the number
     of partitions tried, as that 2-tuple (perfbench's tracer unpacks it
-    and reads len(records) as the accepted count).  The parent must
-    itself be canonical.
+    and reads len(records) as the accepted count).
 
     Only one partition per orbit of Aut(parent) is decided.  An
     automorphism g of the parent, extended to the new element e by
@@ -272,15 +274,20 @@ def extensions_of_parent(parent: RankTable):
     swapping the new element with one old element already makes the
     first half read below the parent, so that the canonical form's
     first half does too (swap_witness); the search decides the rest.
-    A parent of MAX_N elements has no extension table, so ValueError."""
+    A parent that is not canonical (decided once, by
+    canon.parent_prefixes) raises ValueError, as does one of MAX_N
+    elements, which has no extension table."""
     global _canonical_calls, _witnessed
     n = parent.n
     if n >= MAX_N:
         raise ValueError(f"no extension beyond {MAX_N} elements")
+    parent_bytes = bytes(parent.rho)
+    shared = canon.parent_prefixes(parent_bytes)
+    if shared is None:
+        raise ValueError(f"parent {parent.rho} is not canonical")
     lattice = flats(parent)
     rows = enumerate_extensible_partitions(parent, lattice)
-    parent_bytes = bytes(parent.rho)
-    acts = flat_automorphisms(parent, lattice)
+    acts = flat_automorphisms(shared[-1], lattice)
     build = extension_builder(parent, lattice)
     drops = swap_witness(parent, lattice)
     # the canonical labeling sorts the singleton ranks, so its last
@@ -289,7 +296,9 @@ def extensions_of_parent(parent: RankTable):
     # ranks than the parent's, and the candidate would be rejected.  The
     # new element's rank is mu at cl(empty set), the first flat, which
     # every automorphism fixes, so the test keeps or drops whole orbits.
-    top = max(parent.rho[1 << j] for j in range(n)) if n else 0
+    # A canonical parent's largest singleton rank is its last, at
+    # 2^(n-1); n = 0 reads rho(0) = 0.
+    top = parent.rho[1 << n >> 1]
     records = [np.empty((0, (2 << n) + 4), dtype=np.uint8)]
     for i in range(0, len(rows), _BLOCK):
         block = rows[i:i + _BLOCK]
@@ -305,7 +314,8 @@ def extensions_of_parent(parent: RankTable):
         # the accepted extensions are those whose canonical form starts
         # with the parent; isomorphic ones share their form and aut,
         # so their records are equal, and the final sort drops repeats
-        forms, auts = canon.anchored_forms(build(block), parent_bytes)
+        forms, auts = canon.anchored_forms(build(block), parent_bytes,
+                                           shared)
         records.append(np.concatenate(
             (forms, auts.astype(">u4").view(np.uint8).reshape(-1, 4)),
             axis=1))

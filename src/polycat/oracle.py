@@ -185,12 +185,6 @@ class CrossCheckReport:
         lines.append("ok" if self.ok else f"FAIL: {self.first_witness}")
         return "\n".join(lines) + "\n"
 
-    def as_csv(self):
-        lines = ["n,brute_labeled,catalog_labeled,brute_classes,catalog_size"]
-        for r in self.rows:
-            lines.append(",".join(map(str, r)))
-        return "\n".join(lines) + "\n"
-
 
 def cross_check(catalogs, n_max: int | None = None) -> CrossCheckReport:
     """Compare the catalogs against brute force, per n: labeled totals,

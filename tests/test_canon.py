@@ -322,20 +322,23 @@ class TestAnchoredForms:
         rows = enumerate_extensible_partitions(two_lines, lattice)
         tables = extension_builder(two_lines, lattice)(rows)
         parent = bytes(two_lines.rho)
-        forms, aut = anchored_forms(tables, parent)
+        shared = canon.parent_prefixes(parent)
+        forms, aut = anchored_forms(tables, parent, shared)
         assert len(forms) == len(aut) > 0
         other = tables.copy()
         other[-1, 1] += 1
         for bad in (tables.astype(np.int64), tables[:, :4], tables[0],
                     other):
             with pytest.raises(ValueError):
-                anchored_forms(bad, parent)
+                anchored_forms(bad, parent, shared)
 
     def test_empty_block(self, cats3):
         for cat in cats3:
             parent = cat.entries[-1].table
             empty = np.empty((0, 2 << parent.n), dtype=np.uint8)
-            forms, aut = anchored_forms(empty, bytes(parent.rho))
+            pb = bytes(parent.rho)
+            forms, aut = anchored_forms(empty, pb,
+                                        canon.parent_prefixes(pb))
             assert forms.dtype == np.uint8
             assert forms.shape == (0, 2 << parent.n) and len(aut) == 0
 
@@ -350,8 +353,10 @@ class TestAnchoredForms:
             lattice = flats(parent)
             tables = extension_builder(parent, lattice)(
                 enumerate_extensible_partitions(parent, lattice))
-            forms, aut = anchored_forms(tables, bytes(parent.rho))
-            assert len(tables) > 0
+            pb = bytes(parent.rho)
+            shared = canon.parent_prefixes(pb)
+            forms, aut = anchored_forms(tables, pb, shared)
+            assert shared is None and len(tables) > 0
             assert forms.shape == (0, 2 << parent.n) and len(aut) == 0
             parents += 1
         assert parents >= 40

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -55,6 +56,11 @@ def _reference_extensions(parent):
     return out, len(parts)
 
 
+def _automorphisms(parent):
+    """Aut(parent) as mask maps, the last of its shared prefixes."""
+    return canon.parent_prefixes(bytes(parent.rho))[-1]
+
+
 def _decoded(records):
     """(rho, aut) for each row of a record matrix: the rank bytes, then
     the aut order as 4 big-endian bytes."""
@@ -106,8 +112,8 @@ def witnessed_rows(reference_parents):
     for parent in reference_parents:
         lattice = flats(parent)
         rows = enumerate_extensible_partitions(parent, lattice)
-        rows = orbit_representatives(rows,
-                                     flat_automorphisms(parent, lattice))
+        rows = orbit_representatives(
+            rows, flat_automorphisms(_automorphisms(parent), lattice))
         top = max((parent.rho[1 << j] for j in range(parent.n)), default=0)
         out.append((parent, rows, extension_builder(parent, lattice)(rows),
                     swap_witness(parent, lattice)(rows),
@@ -191,7 +197,8 @@ class TestGeneration:
     def test_swap_witness_keeps_the_anchored_forms(self, witnessed_rows):
         for parent, _rows, tables, dropped, _pre in witnessed_rows:
             pb = bytes(parent.rho)
-            every, kept = (canon.anchored_forms(t, pb)
+            shared = canon.parent_prefixes(pb)
+            every, kept = (canon.anchored_forms(t, pb, shared)
                            for t in (tables, tables[~dropped]))
             assert np.array_equal(every[0], kept[0])
             assert np.array_equal(every[1], kept[1])
@@ -266,7 +273,7 @@ class TestGeneration:
             lattice = flats(parent)
             rows = orbit_representatives(
                 enumerate_extensible_partitions(parent, lattice),
-                flat_automorphisms(parent, lattice))
+                flat_automorphisms(_automorphisms(parent), lattice))
             tables = extension_builder(parent, lattice)(rows)
             half, pb = 1 << parent.n, bytes(parent.rho)
             expect = []
@@ -299,30 +306,50 @@ class TestGeneration:
             monkeypatch.setattr(canon, "_SEARCH_ENTRIES", budget)
             split_with_pairs.clear()
             for tables, pb, expect in blocks:
-                forms, aut = canon.anchored_forms(tables, pb)
+                forms, aut = canon.anchored_forms(
+                    tables, pb, canon.parent_prefixes(pb))
                 assert forms.dtype == np.uint8
                 assert list(zip(map(bytes, forms), aut.tolist())) == expect
             if budget == 64:
                 assert any(split_with_pairs)
 
     def test_shared_prefixes_end_in_the_automorphisms(self, reference_parents):
+        # brute force: the images of the new masks below 2^j under every
+        # permutation, kept where they read the parent there exactly; at
+        # j = n those are the automorphisms
+        relabelings = {}
+        refused = 0
         for parent in reference_parents:
-            pb = bytes(parent.rho)
-            levels = canon._shared_prefixes(
-                np.frombuffer(pb, dtype=np.uint8), pb)
+            n, pb = parent.n, bytes(parent.rho)
+            levels = canon.parent_prefixes(pb)
             assert [a.shape[1] for a in levels] == \
-                [1 << j for j in range(parent.n + 1)]
+                [1 << j for j in range(n + 1)]
             assert len(levels[0]) == 1
             assert len(levels[-1]) == canonical_form(parent).aut_order
-            assert set(map(bytes, levels[-1])) == \
-                set(map(bytes, canon.automorphisms(pb, parent.n)))
+            if n <= 5:
+                if n not in relabelings:
+                    relabelings[n] = [
+                        [apply_mask_perm(m, q) for m in range(1 << n)]
+                        for q in itertools.permutations(range(n))]
+                for j, level in enumerate(levels):
+                    brute = {bytes(img[:1 << j])
+                             for img in relabelings[n]
+                             if all(parent.rho[img[m]] == parent.rho[m]
+                                    for m in range(1 << j))}
+                    assert len(level) == len(brute)
+                    assert set(map(bytes, level)) == brute
+            other = canon.relabel(parent, [(i + 1) % n for i in range(n)])
+            if other.rho != parent.rho:
+                assert canon.parent_prefixes(bytes(other.rho)) is None
+                refused += 1
+        assert refused > 200
 
     def test_fold_keeps_one_row_per_orbit(self, cats5):
         parents = [e.table for e in cats5[4].entries if e.aut_order > 1]
         parents += [cats5[5].entries[i].table for i in (1773, 2298, 2379)]
         for parent in parents:
             lattice = flats(parent)
-            acts = flat_automorphisms(parent, lattice)
+            acts = flat_automorphisms(_automorphisms(parent), lattice)
             minima, brute_acts = _brute_orbit_minima(parent)
             identity = tuple(range(len(lattice)))
             assert set(map(tuple, acts.tolist())) == brute_acts - {identity}
@@ -335,7 +362,7 @@ class TestGeneration:
         assert len(plain) > 100
         for e in plain[::25]:
             lattice = flats(e.table)
-            acts = flat_automorphisms(e.table, lattice)
+            acts = flat_automorphisms(_automorphisms(e.table), lattice)
             rows = enumerate_extensible_partitions(e.table, lattice)
             assert len(acts) == 0
             assert np.array_equal(orbit_representatives(rows, acts), rows)
@@ -344,8 +371,8 @@ class TestGeneration:
         entry = cats5[5].entries[2370]
         lattice = flats(entry.table)
         rows = enumerate_extensible_partitions(entry.table, lattice)
-        reps = orbit_representatives(rows,
-                                     flat_automorphisms(entry.table, lattice))
+        reps = orbit_representatives(
+            rows, flat_automorphisms(_automorphisms(entry.table), lattice))
         assert (entry.aut_order, len(lattice)) == (120, 27)
         assert (len(rows), len(reps)) == (14700, 337)
         _, stats = generate_next(gen.Catalog(5, 2, (entry,)))
@@ -398,6 +425,55 @@ class TestGeneration:
         with pytest.raises(ValueError, match=f"beyond {MAX_N} elements"):
             generate_next(gen.Catalog(MAX_N, 1, (gen.CatalogEntry(zero,
                                                                   40320),)))
+
+    def test_refuses_a_parent_that_is_not_canonical(self, cats5, tmp_path):
+        # canonical deletion would silently lose the classes that only
+        # the canonical parent accepts: X_4 would have 224 of its 228
+        entries = list(cats5[3].entries)
+        bad = canon.relabel(entries[1].table, (1, 2, 0))
+        assert bad.rho != entries[1].table.rho
+        entries[1] = gen.CatalogEntry(bad, entries[1].aut_order)
+        x3 = gen.Catalog(3, 2, entries)
+        named = re.escape(f"parent {bad.rho} is not canonical")
+        with pytest.raises(ValueError, match=named):
+            extensions_of_parent(bad)
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match=named):
+                generate_next(x3, jobs=jobs)
+        out = tmp_path / "out.txt"
+        write_catalog(cats5[4], out)
+        old = out.read_bytes()
+        with pytest.raises(ValueError, match=named):
+            generate_next_stream(x3, out)
+        assert out.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_one_prefix_scan_per_parent(self, cats5, monkeypatch):
+        # X_4, and two X_5 parents whose 342 and 14,700 rows span 6 and
+        # 230 blocks of 64: each parent is decided once, and the blocks
+        # give the records and stats of one block per parent
+        steps = [cats5[4]] + [gen.Catalog(5, 2, (cats5[5].entries[i],))
+                              for i in (1773, 2370)]
+
+        def step(cat):
+            nxt, stats = generate_next(cat)
+            return nxt.ranks.tobytes(), nxt.auts.tobytes(), \
+                dataclasses.replace(stats, wall_time=0.0)
+
+        expect = [step(cat) for cat in steps]
+        assert [e[2].partitions for e in expect[1:]] == [342, 14700]
+        real, calls = canon.parent_prefixes, []
+
+        def spy(parent_bytes):
+            calls.append(parent_bytes)
+            return real(parent_bytes)
+
+        monkeypatch.setattr(canon, "parent_prefixes", spy)
+        monkeypatch.setattr(gen, "_BLOCK", 64)
+        for cat, want in zip(steps, expect):
+            calls.clear()
+            assert step(cat) == want
+            assert sorted(calls) == sorted(map(bytes, cat.ranks))
 
 
 class TestCountsAndChecks:
